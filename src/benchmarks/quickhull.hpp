@@ -7,6 +7,7 @@
 // instead of materializing per-level distance arrays.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>

@@ -29,13 +29,11 @@
 #include <stdexcept>
 
 #include "core/env.hpp"
-#include "integrity/block_digest.hpp"
 #include "memory/budget.hpp"
 #include "memory/tracking.hpp"
 #include "recovery/progress.hpp"
 #include "sched/cancellation.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace pbds::recovery {
 
@@ -101,21 +99,15 @@ class block_ledger {
     std::size_t words = (nb + 63) / 64;
     complete_.reset(words ? new std::atomic<std::uint64_t>[words] : nullptr);
     started_.reset(words ? new std::atomic<std::uint64_t>[words] : nullptr);
-    // Digest side table: one slot per block, same untracked-allocation
-    // discipline as the bitmaps (0 = no digest recorded).
-    digests_.reset(nb ? new std::atomic<std::uint64_t>[nb] : nullptr);
     for (std::size_t w = 0; w < words; ++w) {
       complete_[w].store(0, std::memory_order_relaxed);
       started_[w].store(0, std::memory_order_relaxed);
     }
-    for (std::size_t j = 0; j < nb; ++j)
-      digests_[j].store(0, std::memory_order_relaxed);
     n_.store(n, std::memory_order_relaxed);
     blk_.store(blk, std::memory_order_relaxed);
     nb_.store(nb, std::memory_order_relaxed);
     complete_count_.store(0, std::memory_order_relaxed);
     elements_complete_.store(0, std::memory_order_relaxed);
-    header_xor_.store(0, std::memory_order_relaxed);
     bound_ = true;
   }
 
@@ -127,25 +119,19 @@ class block_ledger {
       complete_[w].store(0, std::memory_order_relaxed);
       started_[w].store(0, std::memory_order_relaxed);
     }
-    std::size_t nb = num_blocks();
-    for (std::size_t j = 0; j < nb; ++j)
-      digests_[j].store(0, std::memory_order_relaxed);
     complete_count_.store(0, std::memory_order_relaxed);
     elements_complete_.store(0, std::memory_order_relaxed);
-    header_xor_.store(0, std::memory_order_relaxed);
   }
 
   void reset() {
     complete_.reset();
     started_.reset();
-    digests_.reset();
     bound_ = false;
     n_.store(0, std::memory_order_relaxed);
     blk_.store(0, std::memory_order_relaxed);
     nb_.store(0, std::memory_order_relaxed);
     complete_count_.store(0, std::memory_order_relaxed);
     elements_complete_.store(0, std::memory_order_relaxed);
-    header_xor_.store(0, std::memory_order_relaxed);
   }
 
   [[nodiscard]] bool bound() const { return bound_; }
@@ -191,10 +177,10 @@ class block_ledger {
   // Publish block j's slots as final. The release pairs with is_complete's
   // acquire so a later attempt observing the bit also observes the values.
   // Exactly one execution completes each block (salvage checks the bit
-  // first; quarantine clears it before the redo): completing a block twice
-  // means execution accounting is broken, so it asserts in debug builds
-  // and is surfaced through double_completed() in release builds instead
-  // of silently overcounting salvage on the next attempt.
+  // first): completing a block twice means execution accounting is broken,
+  // so it asserts in debug builds and is surfaced through
+  // double_completed() in release builds instead of silently overcounting
+  // salvage on the next attempt.
   void mark_complete(std::size_t j) {
     std::uint64_t bit = std::uint64_t{1} << (j & 63);
     std::uint64_t prev =
@@ -202,7 +188,6 @@ class block_ledger {
     if (!(prev & bit)) {
       complete_count_.fetch_add(1, std::memory_order_relaxed);
       elements_complete_.fetch_add(block_length(j), std::memory_order_relaxed);
-      header_xor_.fetch_xor(header_term(j), std::memory_order_relaxed);
     } else {
       double_completed_.fetch_add(1, std::memory_order_relaxed);
       assert(false && "block_ledger::mark_complete: block completed twice");
@@ -213,91 +198,6 @@ class block_ledger {
   void note_salvaged() {
     salvaged_.fetch_add(1, std::memory_order_relaxed);
     telemetry::count(telemetry::counter::blocks_salvaged);
-  }
-
-  // --- integrity: per-block digests, quarantine, header validation ---------
-
-  // Store block j's digest; called before mark_complete(j) so the bitmap
-  // release publishes the digest together with the values.
-  void set_digest(std::size_t j, std::uint64_t d) {
-    digests_[j].store(d, std::memory_order_release);
-  }
-
-  // 0 = no digest recorded (block produced with verification unavailable).
-  [[nodiscard]] std::uint64_t digest_of(std::size_t j) const {
-    return digests_[j].load(std::memory_order_acquire);
-  }
-
-  // Re-digest block j's bytes against the recorded digest. Absent digests
-  // verify trivially (there is nothing to check against). Bumps verified.
-  [[nodiscard]] bool verify_block(std::size_t j, const void* bytes,
-                                  std::size_t nbytes) const {
-    std::uint64_t want = digest_of(j);
-    if (want == 0) return true;
-    bool ok = integrity::block_digest(bytes, nbytes) == want;
-    if (ok) verified_.fetch_add(1, std::memory_order_relaxed);
-    return ok;
-  }
-
-  // Demote block j from complete to not-completed because its salvaged
-  // bytes failed verification. Returns true when this call cleared the bit
-  // (the caller owns the re-execution); false if another worker already
-  // quarantined it. The block's started bit stays set — for non-trivial
-  // element types the slots remain constructed, so the redo protocol
-  // (destroy-then-reconstruct) applies unchanged.
-  bool quarantine(std::size_t j) {
-    std::uint64_t bit = std::uint64_t{1} << (j & 63);
-    std::uint64_t prev =
-        complete_[j >> 6].fetch_and(~bit, std::memory_order_acq_rel);
-    if (!(prev & bit)) return false;
-    complete_count_.fetch_sub(1, std::memory_order_relaxed);
-    elements_complete_.fetch_sub(block_length(j), std::memory_order_relaxed);
-    header_xor_.fetch_xor(header_term(j), std::memory_order_relaxed);
-    digests_[j].store(0, std::memory_order_relaxed);
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::count(telemetry::counter::blocks_quarantined);
-    telemetry::trace_instant(telemetry::trace_kind::block, "quarantine",
-                             static_cast<std::int64_t>(j));
-    return true;
-  }
-
-  // Record that a quarantined block was re-executed to completion.
-  void note_quarantine_reexec() {
-    quarantine_reexec_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Torn-state self-validation: every completion folds a per-block term
-  // into header_xor_ and bumps the completion count, so the header is a
-  // sequence-stamped digest of the bitmap. A bitmap that does not
-  // reproduce both (a bit flipped by a torn write, a count that ran ahead
-  // of the bits) fails validation. Called between attempts, never
-  // concurrently with mark_* on the same ledger.
-  [[nodiscard]] bool validate_header() const {
-    if (!bound_) return true;
-    std::size_t nb = num_blocks();
-    std::size_t words = (nb + 63) / 64;
-    std::uint64_t x = 0;
-    std::size_t count = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = complete_[w].load(std::memory_order_acquire);
-      while (bits != 0) {
-        unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        x ^= header_term(w * 64 + b);
-        ++count;
-      }
-    }
-    bool ok = count == complete_count_.load(std::memory_order_relaxed) &&
-              x == header_xor_.load(std::memory_order_relaxed);
-    if (!ok) header_invalid_.fetch_add(1, std::memory_order_relaxed);
-    return ok;
-  }
-
-  // Test hook: simulate a torn bitmap write by flipping a completion bit
-  // WITHOUT touching the header stamp or the counters.
-  void corrupt_complete_bit_for_test(std::size_t j) {
-    complete_[j >> 6].fetch_xor(std::uint64_t{1} << (j & 63),
-                                std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::size_t blocks_complete() const {
@@ -318,20 +218,8 @@ class block_ledger {
   [[nodiscard]] std::uint64_t redone() const {
     return redone_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t quarantined() const {
-    return quarantined_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t quarantine_reexecuted() const {
-    return quarantine_reexec_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t verified() const {
-    return verified_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t double_completed() const {
     return double_completed_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t header_invalidations() const {
-    return header_invalid_.load(std::memory_order_relaxed);
   }
 
   // element_bytes lets the owner scale elements into bytes (the ledger is
@@ -344,45 +232,24 @@ class block_ledger {
     p.executions = executions();
     p.salvaged = salvaged();
     p.redone = redone();
-    p.quarantined = quarantined();
-    p.reexecuted = quarantine_reexecuted();
-    p.verified = verified();
     return p;
   }
 
  private:
-  // Per-block header term: a splitmix64-style bijection of the block
-  // index, so XOR-accumulating the terms of completed blocks is
-  // commutative (lock-free concurrent completion) yet sensitive to any
-  // single-bit discrepancy between bitmap and stamp.
-  [[nodiscard]] static std::uint64_t header_term(std::size_t j) {
-    std::uint64_t z = (static_cast<std::uint64_t>(j) + 1) *
-                      0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
   // Geometry fields are atomics (relaxed) only so that a concurrent
   // aggregate() from the service's drain path reads them without a data
   // race; they are logically written only between attempts.
   std::unique_ptr<std::atomic<std::uint64_t>[]> complete_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> started_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> digests_;
   std::atomic<std::size_t> n_{0};
   std::atomic<std::size_t> blk_{0};
   std::atomic<std::size_t> nb_{0};
   std::atomic<std::size_t> complete_count_{0};
   std::atomic<std::size_t> elements_complete_{0};
-  std::atomic<std::uint64_t> header_xor_{0};
   std::atomic<std::uint64_t> executions_{0};
   std::atomic<std::uint64_t> salvaged_{0};
   std::atomic<std::uint64_t> redone_{0};
-  std::atomic<std::uint64_t> quarantined_{0};
-  std::atomic<std::uint64_t> quarantine_reexec_{0};
-  mutable std::atomic<std::uint64_t> verified_{0};
   std::atomic<std::uint64_t> double_completed_{0};
-  mutable std::atomic<std::uint64_t> header_invalid_{0};
   bool bound_ = false;
 };
 

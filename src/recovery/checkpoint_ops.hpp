@@ -20,13 +20,6 @@
 // blocks that did not complete, and the differential oracle
 // (tests/differential.hpp) checks the result is bit-identical to an
 // uninterrupted run.
-//
-// Integrity (PR 8): each completed unit of trivially-copyable elements is
-// digested (integrity/block_digest.hpp) before its ledger bit is set, and
-// a salvage re-digests the bytes it is about to trust — a mismatch
-// quarantines the unit (demoted to not-completed, counted) and re-executes
-// it instead of trusting it. PBDS_VERIFY_RESUME=0 opts out of both the
-// digest pass and the salvage check.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +32,6 @@
 #include "core/bid.hpp"
 #include "core/delayed.hpp"
 #include "core/rad.hpp"
-#include "integrity/block_digest.hpp"
 #include "memory/budget.hpp"
 #include "memory/tracking.hpp"
 #include "recovery/block_ledger.hpp"
@@ -84,40 +76,6 @@ template <typename T>
          memory::fault_injection_armed() || boundary_faults_armed();
 }
 
-// Digest coverage is byte-level, so only trivially-copyable elements
-// participate (a non-trivial object's bytes are not its identity).
-template <typename T>
-inline constexpr bool digestable_v = std::is_trivially_copyable_v<T>;
-
-// Record unit j's digest so a later salvage can be verified. Skipped when
-// resume verification is off — PBDS_VERIFY_RESUME=0 opts out of the
-// digest pass entirely, which is what the overhead A/B measures.
-template <typename T>
-inline void digest_on_complete(block_ledger& led, std::size_t j,
-                               const T* bytes, std::size_t len) {
-  if constexpr (digestable_v<T>) {
-    if (integrity::verify_resume_enabled())
-      led.set_digest(j, integrity::block_digest(bytes, len * sizeof(T)));
-  }
-}
-
-// Salvage gate for a unit whose completion bit is set: re-digest the
-// bytes a prior attempt left behind and either trust them (true) or
-// quarantine the unit — demote it to not-completed, counted, to be
-// re-executed by the caller (false). Absent digests verify trivially.
-template <typename T>
-[[nodiscard]] inline bool salvage_verified(block_ledger& led, std::size_t j,
-                                           const T* bytes, std::size_t len) {
-  if constexpr (digestable_v<T>) {
-    if (integrity::verify_resume_enabled() &&
-        !led.verify_block(j, bytes, len * sizeof(T)) && led.quarantine(j)) {
-      return false;
-    }
-  }
-  led.note_salvaged();
-  return true;
-}
-
 // Run `f`; if a budget refusal or stall escapes, annotate it with the
 // ledger's progress before it propagates. Under an active budget the
 // attempt additionally goes through the drain/backoff retry ladder —
@@ -133,9 +91,6 @@ decltype(auto) with_progress(resumable_result<T>& rr, const F& f) {
       e.attach_progress(rr.snapshot());
       throw;
     } catch (stall_detected& e) {
-      e.attach_progress(rr.snapshot());
-      throw;
-    } catch (worker_lost& e) {
       e.attach_progress(rr.snapshot());
       throw;
     }
@@ -163,10 +118,9 @@ void materialize_blocks(const Bid& bd, resumable_result<T>& rr) {
       apply(nb, [&, q](std::size_t j) {
         std::size_t base = j * blk;
         std::size_t len = led.block_length(j);
-        bool requarantined = false;
         if (led.is_complete(j)) {
-          if (salvage_verified(led, j, q + base, len)) return;
-          requarantined = true;  // verification failed: re-execute below
+          led.note_salvaged();
+          return;
         }
         if (err.triggered()) return;  // block stays untouched
         try {
@@ -187,10 +141,8 @@ void materialize_blocks(const Bid& bd, resumable_result<T>& rr) {
         try {
           auto st = bd.block(j);
           for (; k < len; ++k) ::new (q + base + k) T(st.next());
-          digest_on_complete(led, j, q + base, len);
           led.mark_complete(j);
           telemetry::observe(telemetry::hist::block_bytes, len * sizeof(T));
-          if (requarantined) led.note_quarantine_reexec();
           return;
         } catch (...) {
           err.capture();
@@ -208,18 +160,15 @@ void materialize_blocks(const Bid& bd, resumable_result<T>& rr) {
   apply(nb, [&, q](std::size_t j) {
     std::size_t base = j * blk;
     std::size_t len = led.block_length(j);
-    bool requarantined = false;
     if (led.is_complete(j)) {
-      if (salvage_verified(led, j, q + base, len)) return;
-      requarantined = true;
+      led.note_salvaged();
+      return;
     }
     led.mark_started(j);
     auto st = bd.block(j);
     stream::drain_into(st, q + base, len);
-    digest_on_complete(led, j, q + base, len);
     led.mark_complete(j);
     telemetry::observe(telemetry::hist::block_bytes, len * sizeof(T));
-    if (requarantined) led.note_quarantine_reexec();
   });
   // An enclosing-region cancellation collapses the apply without unwinding
   // this frame (the root rethrows only at region exit); never hand back
@@ -239,10 +188,9 @@ void materialize_units(resumable_result<T>& rr, const P& produce) {
       sched::cancel_shield shield;
       memory::first_exception err;
       apply(nb, [&, q](std::size_t j) {
-        bool requarantined = false;
         if (led.is_complete(j)) {
-          if (salvage_verified(led, j, q + j, 1)) return;
-          requarantined = true;
+          led.note_salvaged();
+          return;
         }
         if (err.triggered()) return;
         try {
@@ -257,9 +205,7 @@ void materialize_units(resumable_result<T>& rr, const P& produce) {
         }
         try {
           ::new (q + j) T(produce(j));
-          digest_on_complete(led, j, q + j, 1);
           led.mark_complete(j);
-          if (requarantined) led.note_quarantine_reexec();
           return;
         } catch (...) {
           err.capture();
@@ -271,16 +217,13 @@ void materialize_units(resumable_result<T>& rr, const P& produce) {
     }
   }
   apply(nb, [&, q](std::size_t j) {
-    bool requarantined = false;
     if (led.is_complete(j)) {
-      if (salvage_verified(led, j, q + j, 1)) return;
-      requarantined = true;
+      led.note_salvaged();
+      return;
     }
     led.mark_started(j);
     ::new (q + j) T(produce(j));
-    digest_on_complete(led, j, q + j, 1);
     led.mark_complete(j);
-    if (requarantined) led.note_quarantine_reexec();
   });
   if (!led.all_complete()) throw attempt_interrupted{};
 }

@@ -13,12 +13,6 @@
 //                                    completed them
 //   redone                         — units re-run because a prior attempt
 //                                    started but did not complete them
-//   quarantined                    — completed units demoted on resume
-//                                    because their bytes failed digest
-//                                    verification (integrity layer)
-//   reexecuted                     — quarantined units re-run to completion
-//   verified                       — salvaged units whose digest re-check
-//                                    passed
 #pragma once
 
 #include <cstddef>
@@ -33,9 +27,6 @@ struct progress {
   std::uint64_t executions = 0;
   std::uint64_t salvaged = 0;
   std::uint64_t redone = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t reexecuted = 0;
-  std::uint64_t verified = 0;
 
   progress& operator+=(const progress& o) noexcept {
     blocks_total += o.blocks_total;
@@ -44,9 +35,6 @@ struct progress {
     executions += o.executions;
     salvaged += o.salvaged;
     redone += o.redone;
-    quarantined += o.quarantined;
-    reexecuted += o.reexecuted;
-    verified += o.verified;
     return *this;
   }
 

@@ -33,10 +33,8 @@
 #include <mutex>
 #include <stdexcept>
 #include <type_traits>
-#include <vector>
 
 #include "array/parray.hpp"
-#include "integrity/block_digest.hpp"
 #include "recovery/block_ledger.hpp"
 #include "recovery/progress.hpp"
 #include "sched/cancellation.hpp"
@@ -61,21 +59,11 @@ class resumable_result {
   // starts fresh. The storage allocation goes through the tracked/budgeted
   // allocator and may throw budget_exceeded — in that case the next
   // attempt simply retries the allocation here.
-  //
-  // A resume first self-validates the ledger header (block_ledger's
-  // sequence-stamped bitmap digest): a torn bitmap must be *detected* and
-  // discarded, not interpreted as progress. Validation failure falls
-  // through to a fresh start — safe but slow, never wrong.
   void bind(std::size_t n, std::size_t blk) {
     if (blk == 0) blk = 1;
     bool same = ledger_.bound() && ledger_.size() == n &&
                 ledger_.unit_size() == blk;
-    if (same && resume_enabled() && storage_) {
-      if (ledger_.validate_header()) {
-        maybe_corrupt_on_resume();
-        return;
-      }
-    }
+    if (same && resume_enabled() && storage_) return;
     drop_storage();
     ledger_.bind(n, blk);
     ledger_.clear_completion();
@@ -115,31 +103,6 @@ class resumable_result {
   }
 
  private:
-  // Bit-flip injection point (integrity/block_digest.hpp): while the
-  // injector is armed, a resume corrupts bits in *completed* blocks —
-  // exactly the bytes verification would otherwise trust unchecked.
-  // Trivially-copyable elements only: flipping bits inside a non-trivial
-  // object models nothing the digest layer claims to cover.
-  void maybe_corrupt_on_resume() {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      if (!integrity::bit_flips_armed() || !storage_) return;
-      std::vector<std::size_t> done;
-      std::size_t nb = ledger_.num_blocks();
-      done.reserve(nb);
-      for (std::size_t j = 0; j < nb; ++j)
-        if (ledger_.is_complete(j)) done.push_back(j);
-      if (done.empty()) return;
-      const std::size_t blk = ledger_.unit_size();
-      unsigned char* bytes = reinterpret_cast<unsigned char*>(storage_->data());
-      std::size_t flips = integrity::bit_flips_per_resume();
-      for (std::size_t i = 0; i < flips; ++i) {
-        std::size_t j = done[integrity::bit_flip_draw() % done.size()];
-        integrity::flip_random_bit(bytes + j * blk * sizeof(T),
-                                   ledger_.block_length(j) * sizeof(T));
-      }
-    }
-  }
-
   // Default-fill every untouched block so the parray destructor (which
   // destroys all n slots) is safe to run on incomplete storage.
   void sanitize() noexcept {

@@ -67,35 +67,6 @@ class stall_detected : public std::runtime_error {
   bool has_progress_ = false;
 };
 
-// Thrown at the root join of a fork-join region that lost a worker thread
-// (scheduler.hpp worker-loss detection): the pool declared a worker dead —
-// heartbeat frozen past PBDS_WORKER_LOST_MS with the thread outside any
-// payload — and reclaimed its stranded work by cancelling the region, so
-// the join throws instead of hanging on a job nobody will ever run. The
-// fault is retryable: after repair() the pool is whole again and a retry
-// (block-granular via the recovery:: ledger when checkpointed) completes
-// on the repaired pool.
-class worker_lost : public std::runtime_error {
- public:
-  explicit worker_lost(const std::string& what) : std::runtime_error(what) {}
-
-  // Same progress protocol as stall_detected: checkpointed operations
-  // annotate the in-flight loss with how far they got, so the resume
-  // machinery can salvage completed blocks across the loss.
-  void attach_progress(const recovery::progress& p) noexcept {
-    progress_ = p;
-    has_progress_ = true;
-  }
-  [[nodiscard]] bool has_progress() const noexcept { return has_progress_; }
-  [[nodiscard]] const recovery::progress& checkpoint_progress() const noexcept {
-    return progress_;
-  }
-
- private:
-  recovery::progress progress_{};
-  bool has_progress_ = false;
-};
-
 }  // namespace pbds
 
 namespace pbds::sched {
@@ -144,21 +115,10 @@ class cancel_state {
     if (c == 2 && first_) std::rethrow_exception(first_);
   }
 
-  // Marked by the root cancel_scope of a region entered under a
-  // cancel_shield: its loops must visit every index (object lifetimes
-  // depend on it), so *nobody* may cancel it — not the watchdog (it is
-  // never registered) and not worker-loss reclamation, which instead runs
-  // the region's stranded jobs to completion (scheduler.hpp). Written once
-  // at scope construction, before any job carrying this state is
-  // published, so a plain bool is race-free.
-  void mark_must_complete() noexcept { must_complete_ = true; }
-  [[nodiscard]] bool must_complete() const noexcept { return must_complete_; }
-
  private:
   std::atomic<int> claim_{0};
   std::atomic<bool> cancelled_{false};
   std::exception_ptr first_;
-  bool must_complete_ = false;
 };
 
 namespace detail {
@@ -247,9 +207,6 @@ class cancel_scope {
   cancel_scope() : root_(detail::tl_cancel == nullptr) {
     if (root_) {
       detail::tl_cancel = &local_;
-      // Shielded roots are must-complete: loss reclamation must run their
-      // stranded jobs rather than cancel them (see cancel_state).
-      if (detail::tl_shield_depth > 0) local_.mark_must_complete();
       // Publish the region to the watchdog when tracking is on or this
       // root carries a deadline. Root scopes only — one registration per
       // top-level region, not per nested fork — and never under a

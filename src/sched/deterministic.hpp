@@ -57,7 +57,6 @@ class det_scheduler {
     fork_swap = 1,    // fork: right runs first, left is the pending job
     steal = 2,        // oldest pending job executed before its forker joined
     inline_join = 3,  // pending job was not stolen; run inline at the join
-    worker_kill = 4   // injected worker death fired at this boundary
   };
 
   // num_workers = 0 selects the same default as the real scheduler
@@ -94,7 +93,6 @@ class det_scheduler {
     cancel_state* cs = scope.state();
     if (!scope.is_root() && cs->cancelled()) return;  // bail: sibling failed
     maybe_inject_stall(cs);
-    maybe_inject_kill(cs);  // heartbeat-boundary stand-in: one per fork entry
     try {
       if (next_u64() & 1) {
         record(event::fork_swap);
@@ -144,32 +142,6 @@ class det_scheduler {
   // negative n.
   void arm_stall_after(long n_forks) noexcept { stall_after_ = n_forks; }
 
-  // --- worker-loss mirror ----------------------------------------------------
-  //
-  // The real pool's arm_worker_kill (scheduler.hpp) kills a worker at a
-  // heartbeat/steal boundary; heartbeats don't exist on one thread, so
-  // the deterministic stand-in counts *kill boundaries* — every fork
-  // entry (the loop-top stand-in) and every steal opportunity — and at
-  // the nth one captures pbds::worker_lost into the live region's
-  // cancel_state, exactly what loss reclamation does to the region whose
-  // job the dead worker had claimed. The boundary index is a pure
-  // function of (seed, pipeline), so which siblings get skipped — and
-  // the trace, which records the kill as event::worker_kill — replays
-  // from the two integers. Fires once, then disarms. Disarm with a
-  // negative nth. num_kill_boundaries() after an unarmed run bounds the
-  // nth sweep range.
-  void arm_worker_kill(std::uint64_t seed, long nth) noexcept {
-    kill_seed_ = seed;
-    kill_at_ = nth;
-  }
-
-  [[nodiscard]] std::size_t num_kill_boundaries() const noexcept {
-    return boundaries_;
-  }
-  [[nodiscard]] std::size_t worker_kills_delivered() const noexcept {
-    return kills_delivered_;
-  }
-
  private:
   void maybe_inject_stall(cancel_state* cs) {
     if (stall_after_ < 0 || cs == nullptr) return;
@@ -181,25 +153,6 @@ class det_scheduler {
     }
   }
 
-  void maybe_inject_kill(cancel_state* cs) {
-    std::size_t boundary = boundaries_++;
-    if (kill_at_ < 0 || cs == nullptr) return;
-    if (static_cast<long>(boundary) < kill_at_) return;
-    // Must-complete (shielded) regions are never cancelled — the real
-    // pool's reclamation runs their stranded jobs instead — so the kill
-    // slides to the next boundary of a cancellable region.
-    if (cs->must_complete()) return;
-    kill_at_ = -1;  // one death per arming, as in the real pool
-    ++kills_delivered_;
-    telemetry::count(telemetry::counter::workers_lost);
-    record(event::worker_kill);
-    // Capture even into an already-cancelled region: first-exception-wins
-    // decides what the root sees, same as a real kill racing a failure.
-    cs->capture(std::make_exception_ptr(worker_lost(
-        "pbds deterministic: injected worker loss (arm_worker_kill seed=" +
-        std::to_string(kill_seed_) + ")")));
-  }
-
   template <typename A, typename B>
   void fork_impl(A& first, B& second, cancel_state* cs) {
     ++forks_;
@@ -207,7 +160,7 @@ class det_scheduler {
     pending_.push_back(&pending);
     std::exception_ptr first_err;
     try {
-      maybe_steal(cs);
+      maybe_steal();
       first();
     } catch (...) {
       // Same discipline as the real fork2join: never unwind while our
@@ -230,11 +183,10 @@ class det_scheduler {
 
   // With seeded probability, run the oldest pending job(s) to completion
   // right now — the deterministic stand-in for a concurrent thief.
-  void maybe_steal(cancel_state* cs) {
+  void maybe_steal() {
     while (!pending_.empty() && next_u64() < steal_threshold_) {
       record(event::steal);
       ++steals_;
-      maybe_inject_kill(cs);  // steal-boundary stand-in: thief dies mid-take
       job* victim = pending_.front();
       pending_.pop_front();
       victim->execute();
@@ -257,7 +209,7 @@ class det_scheduler {
     if (e == event::steal) telemetry::count(telemetry::counter::steals);
     if (telemetry::trace_enabled()) {
       static constexpr const char* kNames[] = {
-          "fork_keep", "fork_swap", "steal", "inline_join", "worker_kill"};
+          "fork_keep", "fork_swap", "steal", "inline_join"};
       telemetry::trace_instant(telemetry::trace_kind::sched,
                                kNames[static_cast<std::size_t>(e)],
                                static_cast<std::int64_t>(trace_.size()));
@@ -273,10 +225,6 @@ class det_scheduler {
   std::size_t forks_ = 0;
   std::size_t steals_ = 0;
   long stall_after_ = -1;  // injected-stall fork threshold; < 0 disarmed
-  std::uint64_t kill_seed_ = 0;
-  long kill_at_ = -1;  // injected-kill boundary index; < 0 disarmed
-  std::size_t boundaries_ = 0;
-  std::size_t kills_delivered_ = 0;
 };
 
 namespace detail {

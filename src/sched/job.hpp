@@ -62,12 +62,6 @@ class job {
     return done_.load(std::memory_order_acquire);
   }
 
-  // The region this job works for; null for region-less jobs. Used by the
-  // scheduler's worker-loss reclamation to cancel the region of a job a
-  // dead worker claimed but never ran, before executing it to completion
-  // (payload skipped, done_ set) so the joiner wakes and the root rethrows.
-  [[nodiscard]] cancel_state* cancel() const noexcept { return cancel_; }
-
   // Valid only on the joining thread (which owns the job's frame) once
   // finished() has returned true; executors use execute()'s return value.
   [[nodiscard]] bool failed() const noexcept { return eptr_ != nullptr; }

@@ -29,7 +29,6 @@
 #include <cerrno>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -44,28 +43,14 @@
 
 namespace pbds::sched {
 
-// Per-worker heartbeat, published by the worker loop and sampled by the
-// watchdog (and by quiesce()). Cache-line aligned so heartbeat traffic
+// Per-worker progress counters, published by the worker loop and sampled
+// by the watchdog (and by quiesce()). Cache-line aligned so this traffic
 // never false-shares with a neighbour's counters.
-//
-// The last four fields implement the worker-loss protocol (DESIGN.md
-// §"Worker-loss semantics"): `heartbeat_ns` is stamped at every loop
-// iteration, so a non-busy worker whose heartbeat ages past
-// PBDS_WORKER_LOST_MS is no longer advancing; `claimed` holds the job the
-// worker took from find_work but has not finished (the one stranded unit a
-// boundary death can leave behind); `lost`/`exited`/`retired` are the slot
-// life-cycle: declared lost by detection, loop actually returned, slot
-// permanently withdrawn from service (repair cap or respawn failure).
 struct alignas(64) worker_stat {
   std::atomic<std::uint64_t> jobs{0};            // jobs executed to completion
   std::atomic<std::uint64_t> steal_attempts{0};  // find_work probe rounds
   std::atomic<std::uint64_t> epoch{0};           // loop iterations (liveness)
   std::atomic<bool> busy{false};                 // currently inside a payload
-  std::atomic<std::int64_t> heartbeat_ns{0};     // steady_clock at loop top
-  std::atomic<job*> claimed{nullptr};            // taken but not finished
-  std::atomic<bool> lost{false};     // declared lost; worker must not run on
-  std::atomic<bool> exited{false};   // worker_loop returned (joinable+done)
-  std::atomic<bool> retired{false};  // slot withdrawn: no repair, no detect
 };
 
 namespace detail {
@@ -111,58 +96,7 @@ inline void maybe_inject_spawn_fault() {
         "injected thread-spawn failure");
   }
 }
-
-// --- worker-death injector (real pool) --------------------------------------
-//
-// Armed with (seed, nth): the victim worker — picked by the seed among the
-// spawned workers, never worker 0 — returns from its worker_loop at its
-// nth kill boundary after arming, exactly as a thread whose loop aborted
-// would. Kill boundaries are the two points where a death can strand work
-// in a bounded, reclaimable way: the loop top (heartbeat boundary — the
-// worker dies holding nothing) and just after find_work hands it a job
-// (steal boundary — the worker dies holding a claimed-but-unstarted job
-// whose joiner would hang forever without loss detection). The seed fixes
-// which worker dies and nth fixes which of its boundaries, so a failing
-// (seed, nth) replays; det_scheduler::arm_worker_kill is the single-thread
-// mirror whose interleaving replays exactly. Disarmed by a negative nth.
-inline std::atomic<long> g_worker_kill_countdown{-1};
-inline std::atomic<std::uint64_t> g_worker_kill_seed{0};
-inline std::atomic<std::uint64_t> g_worker_kills_delivered{0};
-
-// Ownership sentinel for worker_stat::claimed: the worker CASes its
-// claimed pointer from the job to this marker to win the right to execute
-// it; loss reclamation exchanges claimed for nullptr and only touches the
-// job if it got a real pointer back. Exactly one side ever runs the job.
-inline job* claim_executing_marker() noexcept {
-  return reinterpret_cast<job*>(static_cast<std::uintptr_t>(1));
-}
-
-inline std::int64_t steady_now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 }  // namespace detail
-
-// Arm the worker-death injector (see detail above). Safe to call at any
-// time; typically armed between top-level regions and re-armed by soak
-// drivers after each delivered kill.
-inline void arm_worker_kill(std::uint64_t seed, long nth) noexcept {
-  detail::g_worker_kill_seed.store(seed, std::memory_order_relaxed);
-  detail::g_worker_kill_countdown.store(nth < 0 ? -1 : nth,
-                                        std::memory_order_relaxed);
-}
-
-inline void disarm_worker_kill() noexcept {
-  detail::g_worker_kill_countdown.store(-1, std::memory_order_relaxed);
-}
-
-// Lifetime count of injected deaths actually delivered (a kill armed with
-// nth beyond the victim's remaining boundaries in the observed window has
-// simply not fired yet).
-[[nodiscard]] inline std::uint64_t worker_kills_delivered() noexcept {
-  return detail::g_worker_kills_delivered.load(std::memory_order_relaxed);
-}
 
 class scheduler {
  public:
@@ -178,9 +112,7 @@ class scheduler {
         requested_(num_workers_.load(std::memory_order_relaxed)),
         victim_bound_(requested_),
         deques_(requested_ + kMaxGuests),
-        stats_(requested_ + kMaxGuests),
-        repair_max_(static_cast<std::uint64_t>(pbds::detail::env_integer(
-            "PBDS_REPAIR_MAX", 0, 1L << 20, 4096))) {
+        stats_(requested_ + kMaxGuests) {
     // Enroll the constructing thread as worker 0.
     detail::tl_worker_id = 0;
     unsigned requested = requested_;
@@ -209,12 +141,6 @@ class scheduler {
 
   ~scheduler() {
     shutdown_.store(true, std::memory_order_release);
-    // repair_mutex_ excludes a concurrent repair() respawning a thread
-    // after this loop has passed its slot. Lost-but-unrepaired slots were
-    // already joined by nobody (their loops returned), so join() on them
-    // completes immediately; slots repair() already recycled were joined
-    // there and are joinable again with the replacement thread.
-    std::lock_guard<std::mutex> lock(repair_mutex_);
     for (auto& t : threads_)
       if (t.joinable()) t.join();
     detail::tl_worker_id = -1;
@@ -314,23 +240,16 @@ class scheduler {
     return true;
   }
 
-  // Diagnostics snapshot for the watchdog's stderr dump. Heartbeat age and
-  // deque depth make lost-vs-stalled diagnosable from one report: a stalled
-  // worker is busy with a fresh-or-frozen heartbeat and a possibly deep
-  // deque; a lost worker is non-busy with an ancient heartbeat (or already
-  // marked lost/exited). Iterates the full requested range so retired
-  // slots stay visible.
+  // Diagnostics snapshot for the watchdog's stderr dump: a stalled worker
+  // shows busy with a job count that no longer moves and a possibly deep
+  // deque.
   void dump_worker_stats(std::FILE* out) const {
-    std::int64_t now = detail::steady_now_ns();
     for (unsigned i = 0; i < requested_; ++i) {
       const auto& s = stats_[i];
-      std::int64_t hb = s.heartbeat_ns.load(std::memory_order_relaxed);
-      double age_ms =
-          (i == 0 || hb == 0) ? 0.0 : static_cast<double>(now - hb) * 1e-6;
       std::fprintf(
           out,
           "pbds:   worker %u: jobs=%llu steal_attempts=%llu epoch=%llu "
-          "hb_age_ms=%.1f deque=%zu%s%s%s%s\n",
+          "deque=%zu%s\n",
           i,
           static_cast<unsigned long long>(
               s.jobs.load(std::memory_order_relaxed)),
@@ -338,141 +257,9 @@ class scheduler {
               s.steal_attempts.load(std::memory_order_relaxed)),
           static_cast<unsigned long long>(
               s.epoch.load(std::memory_order_relaxed)),
-          age_ms, deques_[i].size_estimate(),
-          s.busy.load(std::memory_order_relaxed) ? " busy" : "",
-          s.lost.load(std::memory_order_relaxed) ? " LOST" : "",
-          s.exited.load(std::memory_order_relaxed) ? " exited" : "",
-          s.retired.load(std::memory_order_relaxed) ? " retired" : "");
+          deques_[i].size_estimate(),
+          s.busy.load(std::memory_order_relaxed) ? " busy" : "");
     }
-  }
-
-  // --- worker-loss detection, reclamation, repair -----------------------------
-  //
-  // See DESIGN.md §"Worker-loss semantics". A spawned worker is declared
-  // lost when it is outside any payload and either its loop has returned
-  // (injected death) or its heartbeat has aged past `lost_ms` — a live
-  // non-busy worker re-stamps its heartbeat at least every backoff sleep
-  // (≤ 200µs), so an ancient heartbeat means the thread is not advancing.
-  // A busy worker is never declared lost: a frozen payload is
-  // indistinguishable from a long leaf and stays the watchdog-stagnation
-  // problem, not a loss.
-  //
-  // Declaring a slot lost immediately reclaims its stranded work on the
-  // calling thread (typically the watchdog): the claimed-but-unstarted job
-  // is taken over via the `claimed` ownership exchange, its region is
-  // cancelled with pbds::worker_lost, and the job is executed — the
-  // payload is skipped (region cancelled) but the done flag is set, so the
-  // hung joiner wakes and the root join throws worker_lost instead of
-  // waiting forever. Any residue in the dead deque gets the same
-  // treatment (vacuous under boundary deaths: a worker's own deque is
-  // empty between jobs by fork-join discipline, but the drain keeps the
-  // protocol sound for any future death model). Cancelled regions redo
-  // their blocks through the recovery:: ledger on retry, salvaging
-  // completed blocks.
-  //
-  // Returns the number of workers newly declared lost.
-  unsigned detect_and_reclaim_lost(long lost_ms) {
-    if (shutdown_.load(std::memory_order_acquire)) return 0;
-    std::int64_t now = detail::steady_now_ns();
-    unsigned newly_lost = 0;
-    for (unsigned id = 1; id < requested_; ++id) {
-      worker_stat& s = stats_[id];
-      if (s.lost.load(std::memory_order_acquire) ||
-          s.retired.load(std::memory_order_relaxed))
-        continue;
-      std::int64_t hb = s.heartbeat_ns.load(std::memory_order_relaxed);
-      if (hb == 0) continue;  // never ran (constructor shrink / still starting)
-      if (s.busy.load(std::memory_order_acquire)) continue;
-      bool dead = s.exited.load(std::memory_order_acquire);
-      if (!dead && lost_ms > 0)
-        dead = (now - hb) > lost_ms * 1000000LL;
-      if (!dead) continue;
-      s.lost.store(true, std::memory_order_release);
-      workers_lost_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::count(telemetry::counter::workers_lost);
-      telemetry::trace_instant(telemetry::trace_kind::repair, "worker_lost",
-                               id);
-      ++newly_lost;
-      reclaim_slot(id);
-    }
-    return newly_lost;
-  }
-
-  // Respawn a replacement thread into every lost (and not retired) slot,
-  // recycling the slot in place — deque and stat vectors are fixed-size,
-  // so slots are positions, not allocations, and thousands of
-  // kill→repair cycles leave the pool's footprint unchanged. Lifetime
-  // respawns are capped by PBDS_REPAIR_MAX; past the cap, or when the
-  // respawn itself fails, the slot is retired for good through the same
-  // degrade-don't-crash path as a constructor spawn failure (the pool
-  // shrinks by one and keeps serving). Call between top-level regions for
-  // tidy accounting; calling concurrently with running regions is safe —
-  // the replacement enters as one more thief. Returns slots repaired.
-  unsigned repair() {
-    std::lock_guard<std::mutex> lock(repair_mutex_);
-    if (shutdown_.load(std::memory_order_acquire)) return 0;
-    unsigned repaired = 0;
-    for (unsigned id = 1; id < requested_ && id <= threads_.size(); ++id) {
-      worker_stat& s = stats_[id];
-      if (!s.lost.load(std::memory_order_acquire) ||
-          s.retired.load(std::memory_order_relaxed))
-        continue;
-      std::thread& th = threads_[id - 1];
-      // The lost worker's loop has returned (injected death) or will
-      // return at its next boundary (fencing on the lost flag), so this
-      // join completes promptly rather than blocking repair on shutdown.
-      if (th.joinable()) th.join();
-      reclaim_slot(id);  // drain anything stranded after the declaration
-      if (repairs_.load(std::memory_order_relaxed) >= repair_max_) {
-        retire_slot(id, "repair budget PBDS_REPAIR_MAX exhausted");
-        continue;
-      }
-      s.claimed.store(nullptr, std::memory_order_relaxed);
-      s.busy.store(false, std::memory_order_relaxed);
-      s.exited.store(false, std::memory_order_relaxed);
-      s.heartbeat_ns.store(detail::steady_now_ns(),
-                           std::memory_order_relaxed);
-      // Clear `lost` before the spawn: the replacement checks it at its
-      // loop top (fencing) and must not stand down on its own birth. If
-      // the spawn fails, retire_slot marks the slot retired, which
-      // detection skips regardless of `lost`.
-      s.lost.store(false, std::memory_order_release);
-      try {
-        detail::maybe_inject_spawn_fault();
-        th = std::thread([this, id] { worker_loop(id); });
-        repairs_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::count(telemetry::counter::repairs);
-        telemetry::trace_instant(telemetry::trace_kind::repair, "repair", id);
-        ++repaired;
-      } catch (const std::system_error& e) {
-        // Same graceful degradation as a constructor spawn failure: keep
-        // the pool running one worker smaller instead of crashing.
-        retire_slot(id, e.what());
-      }
-    }
-    return repaired;
-  }
-
-  [[nodiscard]] std::uint64_t workers_lost() const noexcept {
-    return workers_lost_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t repairs() const noexcept {
-    return repairs_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t retired_workers() const noexcept {
-    return retired_.load(std::memory_order_relaxed);
-  }
-
-  // Lost slots awaiting repair (or retirement). The watchdog polls this so
-  // a kill delivered between its detect pass and its repair pass still
-  // gets repaired next interval.
-  [[nodiscard]] unsigned lost_pending_repair() const noexcept {
-    unsigned n = 0;
-    for (unsigned id = 1; id < requested_; ++id)
-      if (stats_[id].lost.load(std::memory_order_relaxed) &&
-          !stats_[id].retired.load(std::memory_order_relaxed))
-        ++n;
-    return n;
   }
 
   // Block (cooperatively) until `j` completes, stealing work meanwhile.
@@ -524,33 +311,8 @@ class scheduler {
     unsigned failures = 0;
     while (!shutdown_.load(std::memory_order_acquire)) {
       stat.epoch.fetch_add(1, std::memory_order_relaxed);
-      stat.heartbeat_ns.store(detail::steady_now_ns(),
-                              std::memory_order_relaxed);
-      telemetry::count(telemetry::counter::heartbeats);
-      // Fencing: once detection has declared this slot lost (a false
-      // positive is possible only with a pathologically small
-      // PBDS_WORKER_LOST_MS), the declaration is authoritative — the
-      // worker must stand down at its next boundary so repair() can join
-      // a thread that really does exit.
-      if (stat.lost.load(std::memory_order_acquire)) break;
-      // Heartbeat-boundary kill point: the worker dies holding nothing;
-      // the pool keeps computing on the remaining workers until repair().
-      if (maybe_die(id)) break;
       job* j = find_work();
       if (j != nullptr) {
-        stat.claimed.store(j, std::memory_order_release);
-        // Steal-boundary kill point: the worker dies holding a claimed but
-        // unstarted job — without loss detection its joiner hangs forever.
-        if (maybe_die(id)) break;
-        // Win the right to run the job. Losing the CAS means reclamation
-        // raced us, took ownership, and already executed it — we were
-        // declared lost mid-claim, so stand down.
-        job* expected = j;
-        if (!stat.claimed.compare_exchange_strong(
-                expected, detail::claim_executing_marker(),
-                std::memory_order_acq_rel)) {
-          break;
-        }
         // execute never throws (captures into the job + cancel state) and
         // returns the failure status — *j must not be touched afterwards,
         // the joiner may already have reclaimed its frame.
@@ -567,7 +329,6 @@ class scheduler {
           failed = j->execute();
         }
         stat.busy.store(false, std::memory_order_release);
-        stat.claimed.store(nullptr, std::memory_order_relaxed);
         if (failed) note_subtree_failure();
         stat.jobs.fetch_add(1, std::memory_order_relaxed);
         failures = 0;
@@ -575,93 +336,7 @@ class scheduler {
         back_off(failures);
       }
     }
-    // Publish the exit (injected death, fencing, or shutdown) so loss
-    // detection can treat "loop returned" as instantly lost and repair()
-    // knows the join below it will not block.
-    stat.exited.store(true, std::memory_order_release);
     detail::tl_worker_id = -1;
-  }
-
-  // Injected-death check (see detail::arm_worker_kill). Returns true when
-  // this worker is the armed victim and its boundary countdown just hit
-  // zero — the caller then falls out of worker_loop.
-  bool maybe_die(unsigned id) {
-    if (detail::g_worker_kill_countdown.load(std::memory_order_relaxed) < 0)
-      return false;
-    unsigned n = num_workers_.load(std::memory_order_relaxed);
-    if (n < 2) return false;  // nobody to kill: worker 0 is unkillable
-    unsigned victim =
-        1 + static_cast<unsigned>(
-                detail::g_worker_kill_seed.load(std::memory_order_relaxed) %
-                (n - 1));
-    if (id != victim) return false;
-    // Only the victim decrements, so the countdown is a per-victim
-    // boundary index; the fetch_sub that reads 0 both fires and disarms.
-    if (detail::g_worker_kill_countdown.fetch_sub(
-            1, std::memory_order_relaxed) != 0)
-      return false;
-    detail::g_worker_kills_delivered.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  // Take over and resolve every unit of work a lost slot strands: the
-  // claimed-but-unstarted job first (ownership via the claimed exchange —
-  // exactly one of reclaimer and a racing worker runs it), then any
-  // residue in the dead deque via ordinary cross-thread steals. Each
-  // job's region is cancelled with pbds::worker_lost before the job is
-  // executed, so the payload is skipped but the joiner wakes; the root
-  // join rethrows worker_lost and the recovery ledger redoes the
-  // cancelled blocks on retry.
-  void reclaim_slot(unsigned id) {
-    worker_stat& s = stats_[id];
-    job* j = s.claimed.exchange(nullptr, std::memory_order_acq_rel);
-    if (j != nullptr && j != detail::claim_executing_marker())
-      cancel_and_finish(j, id);
-    while (job* d = deques_[id].steal()) cancel_and_finish(d, id);
-  }
-
-  void cancel_and_finish(job* j, unsigned id) {
-    cancel_state* cs = j->cancel();
-    if (cs != nullptr && cs->must_complete()) {
-      // The job works for a cancel_shield-rooted must-complete region
-      // (placeholder construction / destructor sweeps): skipping its
-      // chunks would corrupt object lifetimes, so run it for real on this
-      // thread instead. Shielded loops are bounded by contract — one pass
-      // over storage — so this cannot wedge the reclaimer; nested forks
-      // fall to the sequential fast path (this thread is not enrolled).
-      if (j->execute()) note_subtree_failure();
-      return;
-    }
-    if (cs != nullptr) {
-      if (!cs->cancelled()) {
-        cs->capture(std::make_exception_ptr(worker_lost(
-            "pbds: worker " + std::to_string(id) +
-            " lost (heartbeat frozen outside any payload); its region was "
-            "cancelled and its stranded work reclaimed — retry to redo "
-            "the cancelled blocks")));
-      }
-    }
-    // Executing a cancelled job skips the payload but sets its done flag,
-    // waking the joiner. A region-less job (none exist today: fork2join
-    // always attaches the region) would run for real on this thread —
-    // correctness over placement.
-    if (j->execute()) note_subtree_failure();
-  }
-
-  // Permanently withdraw a slot from service (repair cap exhausted or the
-  // replacement spawn itself failed): the pool shrinks by one, mirroring
-  // the constructor's spawn-failure degradation. The stale deque stays
-  // allocated and empty; steal probes hit it harmlessly.
-  void retire_slot(unsigned id, const char* why) {
-    worker_stat& s = stats_[id];
-    s.retired.store(true, std::memory_order_relaxed);
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    unsigned n = num_workers_.load(std::memory_order_relaxed);
-    if (n > 1) num_workers_.store(n - 1, std::memory_order_relaxed);
-    std::fprintf(stderr,
-                 "pbds: worker %u retired without replacement (%s); "
-                 "continuing with a pool of %u\n",
-                 id, why, num_workers_.load(std::memory_order_relaxed));
   }
 
   // Own deque first (LIFO locality), then a round of random steals. The
@@ -710,13 +385,6 @@ class scheduler {
   std::atomic<std::uint64_t> subtree_failures_{0};
   std::mutex guest_mutex_;
   std::vector<unsigned> free_guest_slots_;
-  // Worker-loss accounting. repair_mutex_ serializes repair() against the
-  // destructor (both join/replace entries of threads_).
-  std::uint64_t repair_max_;
-  std::atomic<std::uint64_t> workers_lost_{0};
-  std::atomic<std::uint64_t> repairs_{0};
-  std::atomic<std::uint64_t> retired_{0};
-  std::mutex repair_mutex_;
 };
 
 // RAII guest enrollment on the process-wide pool (see enroll_guest). Safe
@@ -780,9 +448,9 @@ inline unsigned default_num_workers() {
 // (cancellation.hpp). While at least one tracked region is live and the job
 // total stops moving:
 //
-//   * after `warn_intervals` stagnant samples it dumps per-worker
-//     heartbeats plus memory/budget counters to stderr (diagnosis first —
-//     a stall may be expected, e.g. a long sequential tail);
+//   * after `warn_intervals` stagnant samples it dumps per-worker stats
+//     plus memory/budget counters to stderr (diagnosis first — a stall
+//     may be expected, e.g. a long sequential tail);
 //   * after `cancel_intervals` stagnant samples it cancels every tracked
 //     region by capturing `pbds::stall_detected` into its cancel_state.
 //     The region then collapses through the ordinary cancellation
@@ -799,7 +467,6 @@ struct watchdog_config {
   long period_ms = 100;      // sampling interval; <= 0 disables entirely
   int warn_intervals = 2;    // stagnant samples before diagnostics; <= 0 off
   int cancel_intervals = 6;  // stagnant samples before cancelling; <= 0 off
-  long worker_lost_ms = 0;   // non-busy heartbeat age ⇒ worker lost; <= 0 off
 };
 
 namespace detail {
@@ -843,20 +510,6 @@ class watchdog {
       if (stop_.load(std::memory_order_acquire)) break;
 
       expire_deadlines();
-
-      // Worker-loss pass (runs even for deadline-only instances): declare
-      // and reclaim lost workers, then repair the pool. Reclamation is
-      // what un-hangs joins stranded on a dead worker's claimed job, so
-      // it cannot wait for a quiet moment; repair respawns replacements
-      // immediately too — a thread entering mid-region is just one more
-      // thief, which is always legal.
-      if (cfg_.worker_lost_ms > 0) {
-        std::lock_guard<std::mutex> lock(scheduler_slot_mutex());
-        if (auto& slot = global_slot()) {
-          slot->detect_and_reclaim_lost(cfg_.worker_lost_ms);
-          if (slot->lost_pending_repair() > 0) slot->repair();
-        }
-      }
 
       if (!tracking_) continue;
 
@@ -1009,30 +662,10 @@ inline void ensure_watchdog_for_deadlines() {
 }
 
 namespace detail {
-// PBDS_WORKER_LOST_MS: strict parse, range [1, 3600000]; 0/unset leaves
-// loss detection off. With a full watchdog (PBDS_WATCHDOG_MS) the loss
-// pass rides its sampling loop; without one, a detection-only monitor is
-// started whose period samples at least twice per loss threshold.
 inline void maybe_start_watchdog_from_env() {
   long v = static_cast<long>(
       pbds::detail::env_integer("PBDS_WATCHDOG_MS", 1, 3600000, 0));
-  long lost = static_cast<long>(
-      pbds::detail::env_integer("PBDS_WORKER_LOST_MS", 1, 3600000, 0));
-  if (v >= 1) {
-    watchdog_config cfg{v, 2, 6};
-    cfg.worker_lost_ms = lost;
-    start_watchdog(cfg);
-  } else if (lost >= 1) {
-    pin_watchdog_dependencies();
-    watchdog_config cfg;
-    cfg.period_ms = lost >= 40 ? 20 : (lost >= 2 ? lost / 2 : 1);
-    cfg.warn_intervals = 0;
-    cfg.cancel_intervals = 0;
-    cfg.worker_lost_ms = lost;
-    auto& slot = watchdog_slot();
-    slot.reset();
-    slot = std::make_unique<watchdog>(cfg, /*track_stagnation=*/false);
-  }
+  if (v >= 1) start_watchdog(watchdog_config{v, 2, 6});
 }
 }  // namespace detail
 
@@ -1110,7 +743,6 @@ inline void reinit_in_child() {
   (void)detail::global_slot().release();    // NOLINT(bugprone-unused-return-value)
   detail::tl_worker_id = -1;
   detail::g_region_tracking.store(false, std::memory_order_relaxed);
-  detail::g_worker_kill_countdown.store(-1, std::memory_order_relaxed);
 }
 
 }  // namespace pbds::sched

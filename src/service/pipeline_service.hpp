@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "core/env.hpp"
-#include "integrity/block_digest.hpp"
 #include "memory/budget.hpp"
 #include "recovery/resumable.hpp"
 #include "sched/cancellation.hpp"
@@ -162,11 +161,6 @@ enum class event : unsigned char {
   resume,   // a retry of a checkpointed job (aux = blocks already complete)
   park,     // drain parked a cancelled resumable job's checkpoint
   readmit,  // a parked checkpoint was resubmitted (aux = blocks salvageable)
-  corrupt,  // corruption detected in an attempt (aux = blocks quarantined,
-            // 0 when the attempt itself threw corruption_detected)
-  worker_lost,  // an attempt died because the pool lost a worker (aux =
-                // blocks already complete for checkpointed jobs, else 0)
-  repair,       // pool repairs observed since the last sample (aux = count)
 };
 
 [[nodiscard]] constexpr const char* to_string(event e) noexcept {
@@ -188,9 +182,6 @@ enum class event : unsigned char {
     case event::resume: return "resume";
     case event::park: return "park";
     case event::readmit: return "readmit";
-    case event::corrupt: return "corrupt";
-    case event::worker_lost: return "worker_lost";
-    case event::repair: return "repair";
   }
   return "unknown";
 }
@@ -224,13 +215,6 @@ struct service_stats {
   std::uint64_t completed_after_resume = 0; // done on a 2nd+ attempt
   std::uint64_t blocks_salvaged = 0;        // block executions avoided
   std::uint64_t blocks_redone = 0;          // started-incomplete re-runs
-  // Integrity accounting (event::corrupt trail).
-  std::uint64_t corrupt_detected = 0;    // attempts that surfaced corruption
-  std::uint64_t blocks_quarantined = 0;  // salvage digests that mismatched
-  std::uint64_t blocks_reexecuted = 0;   // quarantined blocks re-run to done
-  // Worker-loss accounting (event::worker_lost / event::repair trail).
-  std::uint64_t worker_lost_seen = 0;  // attempts that died to a lost worker
-  std::uint64_t repairs_observed = 0;  // pool repairs folded into the trace
 };
 
 // Thunk form of a checkpointed job: receives the job's checkpoint and
@@ -251,11 +235,6 @@ struct job_record {
   job_limits limits;
   std::uint64_t id = 0;
   bool probe = false;  // this admission is the class's half-open probe
-  // Corruption policy state: set on the first mismatch (quarantine or
-  // thrown corruption_detected); later attempts of this job then run with
-  // salvage verification *forced* on, even past a PBDS_VERIFY_RESUME=0
-  // opt-out. Only touched by the executing dispatcher.
-  bool corrupt_seen = false;
   // End-to-end latency clock: submit construction to terminal transition
   // (telemetry::hist::service_latency_us).
   std::chrono::steady_clock::time_point submitted_at =
@@ -324,12 +303,6 @@ class pipeline_service {
  public:
   explicit pipeline_service(service_config cfg = {})
       : cfg_(cfg), queue_(cfg.queue_capacity) {
-    // Repairs that predate this service belong to nobody's trace.
-    {
-      std::lock_guard<std::mutex> lock(sched::detail::scheduler_slot_mutex());
-      if (auto& slot = sched::detail::global_slot())
-        repairs_seen_ = slot->repairs();
-    }
     if (cfg_.dispatchers > 0) {
       // Touch the pool from the owner thread first: get_scheduler()
       // enrolls the *first* caller as worker 0, and that must not be a
@@ -544,7 +517,6 @@ class pipeline_service {
     sched::quiesce();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      note_repairs_locked();  // repairs during the drain window
       record(event::drain_end, 0);
       drained_ = true;
     }
@@ -757,56 +729,11 @@ class pipeline_service {
     std::exception_ptr err;
     bool success = false;
     for (int attempt = 0;; ++attempt) {
-      const std::uint64_t q_before =
-          rec->checkpoint ? rec->checkpoint->aggregate().quarantined : 0;
       err = run_attempt(*rec);
-      // Corruption policy, first half: self-healed corruption. A salvage
-      // digest mismatch quarantines and re-executes inside the attempt,
-      // so it surfaces here as a quarantine-count delta, not a failure.
-      // Record it (aux = blocks quarantined) and arm retry-with-
-      // verification for the rest of this job's attempts.
-      if (rec->checkpoint) {
-        const std::uint64_t dq =
-            rec->checkpoint->aggregate().quarantined - q_before;
-        if (dq > 0) {
-          rec->corrupt_seen = true;
-          std::lock_guard<std::mutex> lock(mutex_);
-          record(event::corrupt, rec->job_class,
-                 static_cast<std::uint32_t>(dq));
-          ++stats_.corrupt_detected;
-        }
-      }
       if (!err) {
         success = true;
         break;
       }
-      // Second half: corruption the attempt could not repair in place
-      // (bulk-vs-element divergence, a job-level integrity check). It is
-      // retryable — with verification forced — but unlike budget/stall it
-      // also marks the attempt corrupt, and an exhausted ladder fails the
-      // job, which the breaker counts like any other class failure.
-      if (is_corruption(err)) {
-        rec->corrupt_seen = true;
-        std::lock_guard<std::mutex> lock(mutex_);
-        record(event::corrupt, rec->job_class);
-        ++stats_.corrupt_detected;
-      }
-      // Worker loss is an executor fault, not a job fault: the pool lost a
-      // thread mid-attempt, loss reclamation cancelled the region, and by
-      // now (or within a watchdog interval) repair() has respawned the
-      // slot. Record the loss — aux carries the checkpointed progress the
-      // retry will salvage — then fold any pool repairs into the trace so
-      // identical (kill seed, pipeline) runs fingerprint identically.
-      if (is_worker_lost(err)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        record(event::worker_lost, rec->job_class,
-               rec->checkpoint
-                   ? static_cast<std::uint32_t>(
-                         rec->checkpoint->aggregate().blocks_complete)
-                   : 0);
-        ++stats_.worker_lost_seen;
-      }
-      note_repairs();
       if (!retryable(err) || attempt >= lim.max_retries) break;
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -862,10 +789,6 @@ class pipeline_service {
                     .count()));
       }
     } timer{attempt_start};
-    // Retry-with-verification: once a job has seen corruption, all its
-    // later attempts verify salvaged blocks regardless of the env opt-out.
-    std::optional<integrity::scoped_verify_resume_force> verify;
-    if (rec.corrupt_seen) verify.emplace();
     std::optional<memory::budget_scope> budget;
     if (rec.limits.budget_bytes > 0) budget.emplace(rec.limits.budget_bytes);
     std::optional<sched::region_deadline> deadline;
@@ -926,53 +849,6 @@ class pipeline_service {
       return true;
     } catch (const stall_detected&) {
       return true;
-    } catch (const integrity::corruption_detected&) {
-      return true;  // retry-with-verification (see execute)
-    } catch (const worker_lost&) {
-      return true;  // transient executor fault; the pool self-repairs
-    } catch (...) {
-      return false;
-    }
-  }
-
-  [[nodiscard]] static bool is_worker_lost(const std::exception_ptr& err) {
-    try {
-      std::rethrow_exception(err);
-    } catch (const worker_lost&) {
-      return true;
-    } catch (...) {
-      return false;
-    }
-  }
-
-  // Fold the pool's repair counter into the trace: any repairs since the
-  // last sample become one event::repair with aux = the delta. Sampled
-  // after every attempt and at drain_end, under the service mutex, so the
-  // delta is claimed exactly once however many jobs observed it.
-  void note_repairs_locked() {
-    std::uint64_t now = 0;
-    {
-      std::lock_guard<std::mutex> slot_lock(sched::detail::scheduler_slot_mutex());
-      if (auto& slot = sched::detail::global_slot()) now = slot->repairs();
-    }
-    if (now > repairs_seen_) {
-      const std::uint64_t delta = now - repairs_seen_;
-      repairs_seen_ = now;
-      record(event::repair, 0, static_cast<std::uint32_t>(delta));
-      stats_.repairs_observed += delta;
-    }
-  }
-
-  void note_repairs() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    note_repairs_locked();
-  }
-
-  [[nodiscard]] static bool is_corruption(const std::exception_ptr& err) {
-    try {
-      std::rethrow_exception(err);
-    } catch (const integrity::corruption_detected&) {
-      return true;
     } catch (...) {
       return false;
     }
@@ -1002,8 +878,6 @@ class pipeline_service {
           auto p = rec->checkpoint->aggregate();
           stats_.blocks_salvaged += p.salvaged;
           stats_.blocks_redone += p.redone;
-          stats_.blocks_quarantined += p.quarantined;
-          stats_.blocks_reexecuted += p.reexecuted;
           if (rec->checkpoint->attempts() > 1 || rec->readmitted)
             ++stats_.completed_after_resume;
         }
@@ -1056,7 +930,6 @@ class pipeline_service {
   service_stats stats_;
   std::vector<std::thread> dispatchers_;
   std::uint64_t next_job_id_ = 0;
-  std::uint64_t repairs_seen_ = 0;  // pool repairs already folded into trace
   std::size_t running_ = 0;
   bool draining_ = false;
   bool drained_ = false;

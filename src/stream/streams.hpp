@@ -58,7 +58,6 @@
 #include <utility>
 
 #include "core/env.hpp"
-#include "integrity/block_digest.hpp"
 #include "memory/counting_allocator.hpp"
 #include "memory/tracking.hpp"
 
@@ -433,60 +432,16 @@ scan_inclusive_stream(S, F, T) -> scan_inclusive_stream<S, F>;
 
 // --- gated bulk entry points -------------------------------------------------
 
-namespace detail {
-
-// Element types whose object representation is fully determined by the
-// value (no padding, no indeterminate bytes), so a digest over a stack
-// temporary equals the digest over the same value materialized in an
-// array. Scalars qualify even when the unique-representation trait is
-// conservative about them (floating point).
-template <typename T>
-inline constexpr bool byte_comparable_v =
-    stageable_v<T> &&
-    (std::is_scalar_v<T> || std::has_unique_object_representations_v<T>);
-
-// PBDS_VERIFY_BULK: run the native bulk path AND the element-at-a-time
-// reference protocol on a copy of the stream, digest-compare the two, and
-// throw corruption_detected on divergence. Legal because block functions
-// are pure (streams.hpp header): manufacturing the same block's stream
-// twice must yield the same elements. The incremental digester makes the
-// chunked element walk byte-equivalent to hashing the materialized run.
-template <typename S>
-void verified_next_n(S& s, typename S::value_type* dst, std::size_t n) {
-  using T = typename S::value_type;
-  S ref = s;  // snapshot before the native path consumes s
-  s.next_n(dst, n);
-  integrity::digester want;
-  for (std::size_t k = 0; k < n; ++k) {
-    T v = ref.next();
-    want.update(&v, sizeof(T));
-  }
-  if (integrity::block_digest(dst, n * sizeof(T)) != want.value()) {
-    throw integrity::corruption_detected(
-        "pbds: bulk next_n diverged from the element-at-a-time protocol");
-  }
-}
-
-}  // namespace detail
-
 // Construct exactly n elements of s into the uninitialized slots
 // dst[0..n): the stream's native bulk path when it has one and the gate
 // allows, the element-at-a-time fallback otherwise. The fallback IS the
 // reference semantics — every native path must be observationally
-// identical to it (the fast-vs-generic oracle enforces this, and
-// PBDS_VERIFY_BULK re-proves it per run with a digest comparison).
+// identical to it (the fast-vs-generic oracle enforces this).
 template <typename S>
 inline void next_n(S& s, typename S::value_type* dst, std::size_t n) {
   using T = typename S::value_type;
   if constexpr (bulk_source<S>) {
     if (bulk_enabled()) {
-      if constexpr (std::is_copy_constructible_v<S> &&
-                    detail::byte_comparable_v<T>) {
-        if (integrity::verify_bulk_enabled()) {
-          detail::verified_next_n(s, dst, n);
-          return;
-        }
-      }
       s.next_n(dst, n);
       return;
     }

@@ -1,11 +1,11 @@
-// Lock-free, shard-per-thread metrics registry (DESIGN.md §12).
+// Lock-free, shard-per-thread metrics registry (DESIGN.md §10).
 //
-// The runtime's robustness layers (checkpoint/resume, integrity, the
-// self-healing pool, the pipeline service) each kept private counters;
-// this header is the one place they all surface. Three primitives:
+// The runtime's robustness layers (checkpoint/resume, the watchdog, the
+// pipeline service) each kept private counters; this header is the one
+// place they all surface. Three primitives:
 //
 //   counters    — process-monotonic u64 event counts (forks, steals,
-//                 refusals, repairs, ...), recorded with one relaxed
+//                 refusals, stalls, ...), recorded with one relaxed
 //                 fetch_add on a thread-private shard;
 //   per-class counters — the same, keyed by service job class (admit /
 //                 shed / retry / breaker transitions per class);
@@ -56,10 +56,7 @@ enum class counter : unsigned {
   joins,
   steals,
   failed_steals,
-  heartbeats,
   stalls,
-  workers_lost,
-  repairs,
   // memory / budget
   budget_admissions,
   budget_refusals,
@@ -67,7 +64,6 @@ enum class counter : unsigned {
   // recovery
   blocks_salvaged,
   blocks_redone,
-  blocks_quarantined,
   // service (global; per-class breakdown below)
   jobs_admitted,
   jobs_shed,
@@ -84,14 +80,12 @@ inline constexpr std::size_t kNumCounters =
 
 [[nodiscard]] inline const char* counter_name(counter c) {
   static constexpr const char* kNames[kNumCounters] = {
-      "forks",          "joins",          "steals",
-      "failed_steals",  "heartbeats",     "stalls",
-      "workers_lost",   "repairs",        "budget_admissions",
+      "forks",           "joins",          "steals",
+      "failed_steals",   "stalls",         "budget_admissions",
       "budget_refusals", "budget_retries", "blocks_salvaged",
-      "blocks_redone",  "blocks_quarantined", "jobs_admitted",
-      "jobs_shed",      "jobs_retried",   "jobs_completed",
-      "jobs_failed",    "breaker_trips",  "breaker_probes",
-      "breaker_closes",
+      "blocks_redone",   "jobs_admitted",  "jobs_shed",
+      "jobs_retried",    "jobs_completed", "jobs_failed",
+      "breaker_trips",   "breaker_probes", "breaker_closes",
   };
   return kNames[static_cast<std::size_t>(c)];
 }

@@ -1,11 +1,11 @@
 // Trace timeline: bounded per-thread ring buffers of timestamped spans,
-// flushed on demand to Chrome-trace JSON (DESIGN.md §12).
+// flushed on demand to Chrome-trace JSON (DESIGN.md §10).
 //
 // Load `chrome://tracing` (or https://ui.perfetto.dev) and open the file
 // PBDS_TRACE_FILE points at to see what the runtime actually did: one
 // track per recording thread, "X" (complete) events for spans — region /
-// job / block / retry / repair — and "i" (instant) events for point
-// happenings such as deterministic-scheduler fork/steal/kill decisions.
+// job / block / retry — and "i" (instant) events for point happenings
+// such as deterministic-scheduler fork/steal decisions.
 // Because the deterministic scheduler emits into the same rings, a
 // replayed (seed, nth) failure produces a viewable timeline of the
 // failure, not just a trace hash.
@@ -44,13 +44,12 @@ enum class trace_kind : std::uint8_t {
   job,
   block,
   retry,
-  repair,
-  sched,  // scheduler decisions (det fork/steal/kill, watchdog actions)
+  sched,  // scheduler decisions (det fork/steal, watchdog actions)
 };
 
 [[nodiscard]] inline const char* trace_kind_name(trace_kind k) {
-  static constexpr const char* kNames[] = {"region", "job",    "block",
-                                           "retry",  "repair", "sched"};
+  static constexpr const char* kNames[] = {"region", "job",   "block",
+                                           "retry",  "sched"};
   return kNames[static_cast<std::size_t>(k)];
 }
 

@@ -601,6 +601,21 @@ TEST(BlockLedger, GeometryRebindAndRedoFlag) {
   EXPECT_EQ(p.bytes_complete, 0u);
 }
 
+TEST(BlockLedgerDeathTest, DoubleCompletionIsGuarded) {
+  recovery::block_ledger led;
+  led.bind(1024, 256);
+  led.mark_complete(1);
+#ifndef NDEBUG
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(led.mark_complete(1), "completed twice");
+#else
+  // Release fallback: counted, not silently absorbed into salvage stats.
+  led.mark_complete(1);
+  EXPECT_EQ(led.double_completed(), 1u);
+  EXPECT_EQ(led.blocks_complete(), 1u);
+#endif
+}
+
 TEST(JobCheckpoint, SlotTypeMismatchThrows) {
   recovery::job_checkpoint ck;
   (void)ck.slot<std::uint64_t>(0);

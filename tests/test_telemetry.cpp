@@ -129,12 +129,12 @@ TEST_F(Telemetry, DisabledGateElidesRecording) {
   {
     telemetry::scoped_metrics off(false);
     ASSERT_FALSE(telemetry::metrics_enabled());
-    telemetry::count(counter::repairs, 7);
+    telemetry::count(counter::stalls, 7);
     telemetry::observe(hist::block_bytes, 4096);
     telemetry::observe_peak_bytes(1 << 20);
   }
   auto off_snap = telemetry::snapshot();
-  EXPECT_EQ(off_snap.get(counter::repairs), 0u);
+  EXPECT_EQ(off_snap.get(counter::stalls), 0u);
   EXPECT_EQ(off_snap.get(hist::block_bytes).total, 0u);
   EXPECT_EQ(off_snap.bytes_live_peak, 0);
   // Arm B: same calls with the gate on. The registry must move — proving
@@ -142,12 +142,12 @@ TEST_F(Telemetry, DisabledGateElidesRecording) {
   {
     telemetry::scoped_metrics on(true);
     ASSERT_TRUE(telemetry::metrics_enabled());
-    telemetry::count(counter::repairs, 7);
+    telemetry::count(counter::stalls, 7);
     telemetry::observe(hist::block_bytes, 4096);
     telemetry::observe_peak_bytes(1 << 20);
   }
   auto on_snap = telemetry::snapshot();
-  EXPECT_EQ(on_snap.get(counter::repairs), 7u);
+  EXPECT_EQ(on_snap.get(counter::stalls), 7u);
   EXPECT_EQ(on_snap.get(hist::block_bytes).total, 1u);
   EXPECT_EQ(on_snap.bytes_live_peak, 1 << 20);
 }
@@ -243,7 +243,7 @@ TEST_F(Telemetry, FlushedTraceIsChromeTraceJson) {
       ::testing::TempDir() + "pbds_trace_shape.json";
   {
     telemetry::scoped_trace on(true);
-    telemetry::trace_instant(telemetry::trace_kind::block, "quarantine", 3);
+    telemetry::trace_instant(telemetry::trace_kind::sched, "deadline", 3);
     {
       telemetry::trace_span span(telemetry::trace_kind::job, "job", 42);
     }
@@ -267,7 +267,7 @@ TEST_F(Telemetry, FlushedTraceIsChromeTraceJson) {
   EXPECT_NE(json.find("\"ts\":"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"quarantine\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"deadline\""), std::string::npos);
   // Det-scheduler decisions are named after their event kinds.
   EXPECT_NE(json.find("fork_"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
