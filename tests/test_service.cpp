@@ -513,6 +513,8 @@ TEST_F(Service, OverloadWithConstrainedBudgetTerminatesAndBalances) {
                 r.stats.shed + r.stats.cancelled,
             r.stats.submitted);
   EXPECT_GT(r.stats.completed, 0u);
+  // Jobs retried after a budget refusal finish with the oracle's result.
+  EXPECT_EQ(r.result_mismatches, 0u);
 }
 
 // --- block-granular checkpoint/resume (PR 7) --------------------------------
@@ -789,6 +791,9 @@ TEST_F(ServiceResume, ResumableSoakUnderBudgetCompletesResumedJobs) {
   // Recovery must have been exercised, not just configured.
   EXPECT_GT(r.stats.resumed, 0u);
   EXPECT_GT(r.stats.completed_after_resume, 0u);
+  // Every completed job, resumed ones included, is bit-identical to the
+  // per-class oracle.
+  EXPECT_EQ(r.result_mismatches, 0u);
 }
 
 TEST_F(Service, ConfigFromEnvParsesStrictly) {
