@@ -49,13 +49,6 @@ struct bid_t {
 
   // Manufacture a fresh stream for block j.
   [[nodiscard]] stream_type block(std::size_t j) const { return b(j); }
-
-  // Materialize all of block j into the uninitialized slots
-  // dst[0..block_length(j)), through the gated bulk path.
-  void drain_block(std::size_t j, value_type* dst) const {
-    auto st = block(j);
-    stream::drain_into(st, dst, block_length(j));
-  }
 };
 
 template <typename B>

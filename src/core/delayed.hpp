@@ -178,59 +178,100 @@ void apply_each(const Seq& s, const G& g) {
   });
 }
 
-// toArray (Fig. 9 lines 9-14): materialize into a fresh array. Rather than
-// zipping with an index RAD as in the figure, each block writes at its own
-// offset — the same traversal without manufacturing index pairs.
+// The one blocked construction loop. Every terminal op that materializes
+// blocks runs it: to_array and force, phase 1 of reduce and scan, phase 2
+// of scan, and the checkpointed recovery:: ops (recovery/checkpoint_ops.hpp),
+// which differ from the plain ops only in the hooks they pass.
+namespace detail {
+
+// Per-block hooks of fill_blocks; the plain ops pass these no-ops.
+//   guarded()           forces the guarded loop (an injector of their own);
+//   skip(j)             block j already holds its final values (salvage);
+//   before(j)           runs first; a throw leaves block j untouched;
+//   begin(j, out, len)  block j is about to construct out[0, len);
+//   done(j, len)        block j's slots hold their final values.
+// keeps_untouched: a block that never began stays unconstructed, because
+// the hooks' owner fills it itself if it drops the storage; otherwise it
+// gets placeholders like the tail of a block that threw.
+struct no_hooks {
+  static constexpr bool keeps_untouched = false;
+  [[nodiscard]] bool guarded() const { return false; }
+  [[nodiscard]] bool skip(std::size_t) const { return false; }
+  void before(std::size_t) const {}
+  template <typename T>
+  void begin(std::size_t, T*, std::size_t) const {}
+  void done(std::size_t, std::size_t) const {}
+};
+
+// Construct every block of `bd` that the hooks do not skip into the
+// uninitialized slots dst[0, bd.n), in parallel across blocks.
 //
-// The traversal is exception tolerant under the same gate and discipline
-// as parray::tabulate (fault injector armed, or T has a real destructor):
-// a throw from the block function or an element evaluation is captured
-// inside the block body, the remaining slots of the block are
-// default-constructed so the returned array is uniformly destructible,
-// and the first exception is rethrown after the join — so a bad_alloc
+// The loop is exception tolerant under the same gate and discipline as
+// parray::tabulate (an injector armed, or T has a real destructor): a
+// throw from a hook, the block function or an element evaluation is
+// captured inside the block body, the rest of a begun block is
+// default-constructed so the storage stays uniformly destructible, and
+// the first exception is rethrown after the join — so a bad_alloc
 // (injected or real) propagates without leaking. The guarded loop runs
 // under a cancel_shield — the region-level bail-out would skip whole
 // blocks and leave slots unconstructed — and once `err` triggers,
-// remaining blocks skip stream evaluation and fill placeholders instead.
-namespace detail {
-template <typename Bid>
-[[nodiscard]] auto to_array_eager(const Bid& bd) {
+// remaining blocks skip stream evaluation. Otherwise each block is one
+// bulk drain (gated; contiguous sources lower to one memcpy), and a throw
+// unwinds through the region cancellation protocol, leaving trivially
+// destructible slots that need no repair.
+template <typename Bid, typename Hooks>
+void fill_blocks(const Bid& bd, typename Bid::value_type* dst,
+                 const Hooks& h) {
   using T = typename Bid::value_type;
-  auto out = parray<T>::uninitialized(bd.n);
-  T* q = out.data();
+  const std::size_t blk = bd.block_size;
   if constexpr (std::is_nothrow_default_constructible_v<T>) {
     if (!std::is_trivially_destructible_v<T> ||
-        memory::fault_injection_armed()) {
+        memory::fault_injection_armed() || h.guarded()) {
       sched::cancel_shield shield;
       memory::first_exception err;
-      apply(bd.num_blocks(), [&, q](std::size_t j) {
-        std::size_t base = j * bd.block_size;
+      apply(bd.num_blocks(), [&, dst](std::size_t j) {
+        if (h.skip(j)) return;
+        T* out = dst + j * blk;
         std::size_t len = bd.block_length(j);
         std::size_t k = 0;
+        bool began = false;
         if (!err.triggered()) {
           try {
+            h.before(j);
+            h.begin(j, out, len);
+            began = true;
             auto st = bd.block(j);
-            for (; k < len; ++k) ::new (q + base + k) T(st.next());
+            for (; k < len; ++k) ::new (out + k) T(st.next());
+            h.done(j, len);
+            return;
           } catch (...) {
             err.capture();
           }
         }
-        for (; k < len; ++k) ::new (q + base + k) T();
+        if (began || !Hooks::keeps_untouched)
+          for (; k < len; ++k) ::new (out + k) T();
       });
       err.rethrow_if_set();
-      return out;
+      return;
     }
   }
-  apply(bd.num_blocks(), [&, q](std::size_t j) {
+  apply(bd.num_blocks(), [&, dst](std::size_t j) {
+    if (h.skip(j)) return;
+    T* out = dst + j * blk;
+    std::size_t len = bd.block_length(j);
+    h.begin(j, out, len);
     auto st = bd.block(j);
-    // Bulk materialization (gated; falls back to per-element next()).
-    // Contiguous sources lower to one memcpy per block here.
-    stream::drain_into(st, q + j * bd.block_size, bd.block_length(j));
+    stream::drain_into(st, out, len);
+    h.done(j, len);
   });
-  return out;
 }
+
 }  // namespace detail
 
+// toArray (Fig. 9 lines 9-14): materialize into a fresh array. Rather than
+// zipping with an index RAD as in the figure, each block writes at its own
+// offset — the same traversal without manufacturing index pairs.
+//
 // Budget-aware entry point (memory/budget.hpp): under an active byte
 // budget a refused materialization is retried after exponential-backoff
 // drains before the refusal propagates. Retrying re-invokes the block
@@ -241,9 +282,13 @@ template <typename Bid>
 template <typename Seq>
 [[nodiscard]] auto to_array(const Seq& s) {
   auto bd = bid_of(as_seq(s));
-  if (memory::budget_active())
-    return memory::budget_retry([&] { return detail::to_array_eager(bd); });
-  return detail::to_array_eager(bd);
+  auto materialize = [&] {
+    auto out = parray<typename decltype(bd)::value_type>::uninitialized(bd.n);
+    detail::fill_blocks(bd, out.data(), detail::no_hooks{});
+    return out;
+  };
+  if (memory::budget_active()) return memory::budget_retry(materialize);
+  return materialize();
 }
 
 // force (Fig. 9 line 16): evaluate everything now; the result is a RAD
@@ -256,10 +301,70 @@ template <typename Seq>
   return rad_shared(std::move(arr));
 }
 
-// --- reduce (Fig. 10 lines 28-32) --------------------------------------------
+// --- reduce and scan (Fig. 10 lines 28-40) ------------------------------------
 
-// Phase 1 eagerly folds each block's stream (fusing with whatever produced
-// the input); phase 2 folds the O(#blocks) partials sequentially.
+// The phases below are shared with the checkpointed recovery:: ops, which
+// materialize the same block sums through ledger hooks instead of
+// to_array.
+namespace detail {
+
+// Phase 1: the block sums as a BID of nb one-element blocks, block j
+// folding input block j's stream (fused with whatever produced the
+// input). Materializing it runs the parallel_for(0, nb, ·, 1) tree of
+// tabulating the sums.
+template <typename Bid, typename F, typename T>
+[[nodiscard]] auto block_sums(const Bid& bd, const F& f, const T& z) {
+  auto sum = [&bd, &f, &z](std::size_t j) {
+    return stream::reduce(bd.block(j), bd.block_length(j), f, z);
+  };
+  return make_bid(bd.num_blocks(), 1, [sum](std::size_t j) {
+    return stream::tabulate_stream<decltype(sum)>{sum, j};
+  });
+}
+
+// Phase 2 of reduce: fold the O(#blocks) sums sequentially.
+template <typename F, typename T>
+[[nodiscard]] T fold_sums(const F& f, T acc, const parray<T>& sums) {
+  for (const T& x : sums) acc = f(acc, x);
+  return acc;
+}
+
+// Phases 2-3 of scan; the two scans differ only in the output Stream.
+// Phase 2 is the exclusive scan of the sums: one sequential block (nb is
+// small) through fill_blocks, so a throwing f or copy leaves placeholders,
+// not holes. Phase 3 is *delayed* — output block j is a Stream over a
+// fresh copy of input block j seeded with partial P[j]. Returns
+// (sequence, total).
+template <template <typename, typename> class Stream, typename Bid,
+          typename F, typename T>
+[[nodiscard]] auto scan_from_sums(const Bid& bd, const F& f, const T& z,
+                                  const parray<T>& sums) {
+  std::size_t nb = sums.size();
+  auto offsets = make_bid(nb, nb == 0 ? 1 : nb, [&](std::size_t) {
+    return stream::scan_stream{stream::pointer_stream<T>{sums.data()}, f, z};
+  });
+  auto partials = std::make_shared<parray<T>>(parray<T>::uninitialized(nb));
+  fill_blocks(offsets, partials->data(), no_hooks{});
+  T total = z;
+  if (nb > 0) total = f((*partials)[nb - 1], sums[nb - 1]);
+  auto block_fn = [b = bd.b, partials, f](std::size_t j) {
+    return Stream<typename Bid::stream_type, std::decay_t<F>>{
+        b(j), f, (*partials)[j]};
+  };
+  return std::pair(make_bid(bd.n, bd.block_size, std::move(block_fn)),
+                   total);
+}
+
+template <template <typename, typename> class Stream, typename F,
+          typename T, typename Seq>
+[[nodiscard]] auto scan_with(const F& f, const T& z, const Seq& s) {
+  auto bd = bid_of(as_seq(s));
+  return scan_from_sums<Stream>(bd, f, z, to_array(block_sums(bd, f, z)));
+}
+
+}  // namespace detail
+
+// reduce: phase 1 eagerly folds each block; phase 2 folds the partials.
 template <typename F, typename T, typename Seq>
 [[nodiscard]] T reduce(const F& f, T z, const Seq& s) {
   auto bd = bid_of(as_seq(s));
@@ -271,71 +376,21 @@ template <typename F, typename T, typename Seq>
     // delayed version must not allocate per row.
     return stream::reduce(bd.block(0), bd.block_length(0), f, z);
   }
-  auto sums = parray<T>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        return stream::reduce(bd.block(j), bd.block_length(j), f, z);
-      },
-      /*granularity=*/1);
-  T acc = z;
-  for (std::size_t j = 0; j < nb; ++j) acc = f(acc, sums[j]);
-  return acc;
+  return detail::fold_sums(f, z, to_array(detail::block_sums(bd, f, z)));
 }
 
-// --- scan (Fig. 10 lines 33-40) ----------------------------------------------
-
-// The showpiece: phases 1-2 are eager but touch only O(#blocks) memory
-// beyond re-reading the (fused) input; phase 3 is *delayed* — the output
-// BID's block j is a scan_stream over a fresh copy of input block j seeded
-// with partial P[j]. Exclusive scan; returns (sequence, total).
+// scan — the showpiece: phases 1-2 are eager but touch only O(#blocks)
+// memory beyond re-reading the (fused) input; phase 3 is delayed.
+// Exclusive scan; returns (sequence, total).
 template <typename F, typename T, typename Seq>
 [[nodiscard]] auto scan(const F& f, T z, const Seq& s) {
-  auto bd = bid_of(as_seq(s));
-  std::size_t nb = bd.num_blocks();
-  // Phase 1: block sums (eager, fused with the input).
-  auto sums = parray<T>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        return stream::reduce(bd.block(j), bd.block_length(j), f, z);
-      },
-      1);
-  // Phase 2: exclusive scan of the sums (sequential; nb is small).
-  auto partials = std::make_shared<parray<T>>(
-      parray<T>::uninitialized(nb));
-  T acc = z;
-  for (std::size_t j = 0; j < nb; ++j) {
-    ::new (partials->data() + j) T(acc);
-    acc = f(acc, sums[j]);
-  }
-  // Phase 3: delayed per-block streams seeded at the block offsets.
-  auto block_fn = [b = bd.b, partials, f](std::size_t j) {
-    return stream::scan_stream{b(j), f, (*partials)[j]};
-  };
-  return std::pair(make_bid(bd.n, bd.block_size, std::move(block_fn)), acc);
+  return detail::scan_with<stream::scan_stream>(f, z, s);
 }
 
-// Inclusive variant (out[i] includes element i); same structure.
+// Inclusive variant (out[i] includes element i).
 template <typename F, typename T, typename Seq>
 [[nodiscard]] auto scan_inclusive(const F& f, T z, const Seq& s) {
-  auto bd = bid_of(as_seq(s));
-  std::size_t nb = bd.num_blocks();
-  auto sums = parray<T>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        return stream::reduce(bd.block(j), bd.block_length(j), f, z);
-      },
-      1);
-  auto partials = std::make_shared<parray<T>>(
-      parray<T>::uninitialized(nb));
-  T acc = z;
-  for (std::size_t j = 0; j < nb; ++j) {
-    ::new (partials->data() + j) T(acc);
-    acc = f(acc, sums[j]);
-  }
-  auto block_fn = [b = bd.b, partials, f](std::size_t j) {
-    return stream::scan_inclusive_stream{b(j), f, (*partials)[j]};
-  };
-  return std::pair(make_bid(bd.n, bd.block_size, std::move(block_fn)), acc);
+  return detail::scan_with<stream::scan_inclusive_stream>(f, z, s);
 }
 
 // --- filter / filterOp (Fig. 10 lines 48-53) -----------------------------------

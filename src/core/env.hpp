@@ -75,7 +75,6 @@ inline constexpr const char* kKnownEnvKnobs[] = {
     "PBDS_SERVICE_RETRIES",
     "PBDS_SERVICE_BACKOFF_US",
     "PBDS_SERVICE_TRACE_CAP",
-    "PBDS_RESUME_DISABLE",
     "PBDS_RESUME_MAX_PARKED",
     "PBDS_METRICS",
     "PBDS_TRACE_FILE",

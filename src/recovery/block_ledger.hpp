@@ -28,7 +28,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/env.hpp"
 #include "memory/budget.hpp"
 #include "memory/tracking.hpp"
 #include "recovery/progress.hpp"
@@ -36,43 +35,6 @@
 #include "telemetry/metrics.hpp"
 
 namespace pbds::recovery {
-
-// -------------------------------------------------------------------------
-// Resume kill switch: PBDS_RESUME_DISABLE=1 (or a scoped override) makes
-// every checkpointed operation discard prior progress on (re)bind, i.e.
-// behave like a fresh run. Useful for A/B-ing recovery and for tests.
-namespace detail {
-
-inline std::atomic<int>& resume_disable_override() {
-  static std::atomic<int> v{0};
-  return v;
-}
-
-inline bool resume_disabled_by_env() {
-  static const bool v =
-      pbds::detail::env_integer("PBDS_RESUME_DISABLE", 0, 1, 0) == 1;
-  return v;
-}
-
-}  // namespace detail
-
-[[nodiscard]] inline bool resume_enabled() {
-  return !detail::resume_disabled_by_env() &&
-         detail::resume_disable_override().load(std::memory_order_relaxed) == 0;
-}
-
-// RAII: force resume-disable within a scope (nestable).
-class scoped_resume_disable {
- public:
-  scoped_resume_disable() {
-    detail::resume_disable_override().fetch_add(1, std::memory_order_relaxed);
-  }
-  ~scoped_resume_disable() {
-    detail::resume_disable_override().fetch_sub(1, std::memory_order_relaxed);
-  }
-  scoped_resume_disable(const scoped_resume_disable&) = delete;
-  scoped_resume_disable& operator=(const scoped_resume_disable&) = delete;
-};
 
 // -------------------------------------------------------------------------
 // block_ledger

@@ -5,11 +5,12 @@
 // Storage model: one parray<T> (shared_ptr so a completed result can be
 // exposed as a rad_shared view without copying) plus a block_ledger over
 // it. Element-lifetime invariants, maintained jointly with the guarded
-// loops in checkpoint_ops.hpp:
+// loop of delayed::detail::fill_blocks run with the ledger hooks of
+// checkpoint_ops.hpp:
 //
 //   * untouched block (neither started nor complete): slots UNCONSTRUCTED;
 //   * started block: every slot constructed (final values or T()
-//     placeholders) — guarded loops placeholder-fill on any throw;
+//     placeholders) — the guarded loop placeholder-fills on any throw;
 //   * complete block: every slot holds its final value.
 //
 // For non-trivially-destructible T the parray destructor destroys all n
@@ -54,16 +55,16 @@ class resumable_result {
   resumable_result(const resumable_result&) = delete;
   resumable_result& operator=(const resumable_result&) = delete;
 
-  // Establish the geometry for an attempt. Same geometry + resume enabled
-  // + live storage => resume (completed blocks preserved); anything else
-  // starts fresh. The storage allocation goes through the tracked/budgeted
-  // allocator and may throw budget_exceeded — in that case the next
-  // attempt simply retries the allocation here.
+  // Establish the geometry for an attempt. Same geometry + live storage
+  // => resume (completed blocks preserved); anything else starts fresh.
+  // The storage allocation goes through the tracked/budgeted allocator
+  // and may throw budget_exceeded — in that case the next attempt simply
+  // retries the allocation here.
   void bind(std::size_t n, std::size_t blk) {
     if (blk == 0) blk = 1;
     bool same = ledger_.bound() && ledger_.size() == n &&
                 ledger_.unit_size() == blk;
-    if (same && resume_enabled() && storage_) return;
+    if (same && storage_) return;
     drop_storage();
     ledger_.bind(n, blk);
     ledger_.clear_completion();

@@ -11,6 +11,7 @@
 // DESIGN.md §"Failure semantics"), and the pool must stay reusable.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <new>
 #include <numeric>
@@ -19,6 +20,8 @@
 
 #include "array/parray.hpp"
 #include "benchmarks/policies.hpp"
+#include "core/block.hpp"
+#include "core/delayed.hpp"
 #include "memory/budget.hpp"
 #include "memory/counting_allocator.hpp"
 #include "memory/tracking.hpp"
@@ -282,6 +285,114 @@ TEST(FaultInjection, ProbabilityModeLeakFreeAcrossSeeds) {
   }
   // With ~dozens of allocations per run at p=0.05, some runs must fault.
   EXPECT_GT(faulted_runs, 0);
+}
+
+// --- accumulators with real destructors ---------------------------------------
+//
+// reduce, scan and scan_inclusive materialize their block sums, scan its
+// partials and to_array its output through one guarded construction loop.
+// An accumulator whose every value construction allocates through the
+// tracker puts injected faults inside element construction too (a block
+// sum mid-fold, a partial, an output element), not only on the arrays; a
+// placeholder (default construction) never allocates. live() counts
+// constructions minus destructions.
+struct boxed {
+  static std::atomic<long>& live() {
+    static std::atomic<long> v{0};
+    return v;
+  }
+  memory::tracked_vector<std::int64_t> v;
+  boxed() noexcept { ++live(); }
+  explicit boxed(std::int64_t x) : v(1, x) { ++live(); }
+  boxed(const boxed& o) : v(o.v) { ++live(); }
+  boxed& operator=(const boxed& o) = default;
+  ~boxed() { --live(); }
+  [[nodiscard]] std::int64_t get() const { return v.empty() ? 0 : v[0]; }
+};
+
+boxed boxed_plus(const boxed& a, const boxed& b) {
+  return boxed(a.get() + b.get());
+}
+
+// 64 elements in 8 blocks of 8: enough blocks to fork, few enough
+// allocations per run to fault every one of them.
+constexpr std::size_t kBoxedN = 64;
+constexpr std::size_t kBoxedBlk = 8;
+
+auto boxed_input() {
+  return delayed::map(
+      [](std::size_t i) { return boxed(static_cast<std::int64_t>(i % 7)); },
+      delayed::iota(kBoxedN));
+}
+
+std::int64_t boxed_reduce() {
+  return delayed::reduce(boxed_plus, boxed(1), boxed_input()).get();
+}
+
+// Folds the materialized scan output and the total into one checksum.
+template <typename Pair>
+std::int64_t boxed_checksum(const Pair& pr) {
+  auto arr = delayed::to_array(pr.first);
+  auto acc = static_cast<std::uint64_t>(pr.second.get());
+  for (std::size_t i = 0; i < arr.size(); ++i)
+    acc = acc * 31 + static_cast<std::uint64_t>(arr[i].get());
+  return static_cast<std::int64_t>(acc);
+}
+
+std::int64_t boxed_scan() {
+  return boxed_checksum(delayed::scan(boxed_plus, boxed(1), boxed_input()));
+}
+
+std::int64_t boxed_scan_inclusive() {
+  return boxed_checksum(
+      delayed::scan_inclusive(boxed_plus, boxed(1), boxed_input()));
+}
+
+// Fail every allocation of a fault-free run in turn: each run returns the
+// right result or throws bad_alloc, and after each one bytes_live and the
+// live accumulator count are back at their baselines.
+void sweep_boxed(std::int64_t (*op)(), const char* name) {
+  scoped_block_size bs(kBoxedBlk);
+  std::int64_t expected;
+  std::int64_t total_allocs;
+  {
+    memory::space_meter m;
+    expected = op();
+    total_allocs = m.alloc_count();
+  }
+  std::int64_t baseline = memory::bytes_live();
+  long live0 = boxed::live().load();
+  ASSERT_GT(total_allocs, 0) << name;
+  std::int64_t faulted = 0;
+  for (std::int64_t nth = 0; nth < total_allocs; ++nth) {
+    {
+      auto faults = memory::scoped_alloc_faults::fail_nth(nth);
+      try {
+        EXPECT_EQ(op(), expected) << name << " nth=" << nth;
+      } catch (const std::bad_alloc&) {
+        ++faulted;
+      }
+    }
+    EXPECT_EQ(memory::bytes_live(), baseline)
+        << name << ": leak after injected fault at allocation " << nth;
+    EXPECT_EQ(boxed::live().load(), live0)
+        << name << ": constructions != destructions after fault at " << nth;
+  }
+  EXPECT_GT(faulted, 0) << name;
+}
+
+TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeSequential) {
+  sched::scoped_sequential seq;
+  sweep_boxed(boxed_reduce, "reduce");
+  sweep_boxed(boxed_scan, "scan");
+  sweep_boxed(boxed_scan_inclusive, "scan_inclusive");
+}
+
+TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeRealPool) {
+  ASSERT_EQ(sched::current_exec_mode(), sched::exec_mode::parallel);
+  sweep_boxed(boxed_reduce, "reduce");
+  sweep_boxed(boxed_scan, "scan");
+  sweep_boxed(boxed_scan_inclusive, "scan_inclusive");
 }
 
 // Budget admission runs the fault injector first: with both active, an

@@ -12,12 +12,14 @@
 //     (the executions-delta formula inside the oracle);
 //   * bytes_live returns to baseline once the checkpoint dies, even when
 //     progress was partial and elements are non-trivially destructible;
+//   * constructions equal destructions for elements and accumulators with
+//     real destructors: to_array's output blocks, and the block sums that
+//     reduce / scan / scan_inclusive checkpoint (the same fill_blocks
+//     skeleton, ledger hooks);
 //   * budget_exceeded / stall_detected escaping a checkpointed op carry
 //     the ledger's progress snapshot (attach_progress);
 //   * under an ACTIVE budget, the drain/backoff retry ladder resumes from
-//     the ledger in place — one visible call, each block executed once;
-//   * scoped_resume_disable degrades every resume to a fresh run (the
-//     A/B kill switch for the whole subsystem).
+//     the ledger in place — one visible call, each block executed once.
 //
 // Replay: all deterministic sweeps honor PBDS_SEED=<n> to collapse to one
 // seed (see docs/TESTING.md §resume).
@@ -26,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/block.hpp"
@@ -452,6 +455,73 @@ TEST(ResumeLifetime, ResumedNonTrivialRunBalancesAndMatches) {
   EXPECT_EQ(counted::ctors().load() - c0, counted::dtors().load() - d0);
 }
 
+// reduce, scan and scan_inclusive checkpoint their block sums, so with a
+// counted accumulator the sums themselves have real lifetimes: crash at
+// every unit boundary (fault, stall, budget; every mode), resume, and
+// require the bit-identical result, each block run once after the crash
+// (both inside the oracle), and as many destructions as constructions.
+counted counted_plus(const counted& a, const counted& b) {
+  return counted(a.v + b.v);
+}
+
+auto counted_input() {
+  return delayed::map(
+      [](std::size_t i) { return counted(static_cast<std::uint64_t>(i % 97)); },
+      delayed::iota(kN));
+}
+
+class ResumeLifetimeSweep : public ResumeSweep {
+ protected:
+  void TearDown() override {
+    EXPECT_EQ(counted::ctors().load() - c0_, counted::dtors().load() - d0_)
+        << "sums or partials leaked or double-destroyed elements";
+  }
+  long c0_ = counted::ctors().load();
+  long d0_ = counted::dtors().load();
+};
+
+TEST_F(ResumeLifetimeSweep, ReduceWithCountedAccumulator) {
+  resume_case c{"resume.reduce(counted)", [](recovery::job_checkpoint& ck) {
+                  pbds::scoped_block_size bs(kBlk);
+                  digest d;
+                  put(d, static_cast<double>(
+                             recovery::reduce(counted_plus, counted(0),
+                                              counted_input(),
+                                              ck.slot<counted>(0))
+                                 .v));
+                  return d;
+                }};
+  pbds::testing::expect_resume_equivalence(c, sweep_seeds(4));
+}
+
+template <typename ScanOp>
+resume_case counted_scan_case(std::string name, ScanOp scan_op) {
+  return {std::move(name), [scan_op](recovery::job_checkpoint& ck) {
+            pbds::scoped_block_size bs(kBlk);
+            auto pr = scan_op(counted_input(), ck.slot<counted>(0));
+            auto arr = delayed::to_array(pr.first);
+            digest d;
+            for (const counted& x : arr) put(d, static_cast<double>(x.v));
+            put(d, static_cast<double>(pr.second.v));
+            return d;
+          }};
+}
+
+TEST_F(ResumeLifetimeSweep, ScanWithCountedAccumulator) {
+  auto c = counted_scan_case("resume.scan(counted)", [](auto xs, auto& rr) {
+    return recovery::scan(counted_plus, counted(0), xs, rr);
+  });
+  pbds::testing::expect_resume_equivalence(c, sweep_seeds(4));
+}
+
+TEST_F(ResumeLifetimeSweep, ScanInclusiveWithCountedAccumulator) {
+  auto c = counted_scan_case(
+      "resume.scan_inclusive(counted)", [](auto xs, auto& rr) {
+        return recovery::scan_inclusive(counted_plus, counted(0), xs, rr);
+      });
+  pbds::testing::expect_resume_equivalence(c, sweep_seeds(4));
+}
+
 // --- salvage of completed operations ----------------------------------------
 
 // Re-entering an op whose slot already completed must return the SAME
@@ -472,39 +542,6 @@ TEST(ResumeSalvage, CompletedOpReturnsRetainedStorageWithoutExecution) {
   EXPECT_EQ(slot.ledger().executions(), execs)
       << "re-entry of a completed op executed blocks";
   EXPECT_GE(slot.ledger().salvaged(), kBlocks);
-}
-
-// --- the kill switch --------------------------------------------------------
-
-TEST(ResumeDisable, ScopedDisableForcesFreshRun) {
-  pbds::sched::scoped_sequential g;
-  pbds::scoped_block_size bs(kBlk);
-  recovery::job_checkpoint ck;
-  auto& slot = ck.slot<std::uint64_t>(0);
-  auto xs = delayed::map(
-      [](std::size_t i) { return static_cast<std::uint64_t>(i ^ 42); },
-      delayed::iota(kN));
-  {
-    recovery::scoped_boundary_faults inj(recovery::boundary_fault_kind::fault,
-                                         4);
-    EXPECT_THROW((void)recovery::to_array(xs, slot),
-                 recovery::boundary_fault);
-  }
-  EXPECT_EQ(slot.ledger().blocks_complete(), 4u);
-  std::uint64_t execs_before = slot.ledger().executions();
-  {
-    recovery::scoped_resume_disable off;
-    ASSERT_FALSE(recovery::resume_enabled());
-    const auto& a = recovery::to_array(xs, slot);
-    ASSERT_EQ(a.size(), kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(a[i], static_cast<std::uint64_t>(i ^ 42)) << "at " << i;
-    }
-  }
-  // Disabled resume discards the 4 completed blocks: the fresh run executes
-  // ALL kBlocks again.
-  EXPECT_EQ(slot.ledger().executions() - execs_before, kBlocks)
-      << "resume-disable must discard prior progress";
 }
 
 // --- cooperative-cancellation collapse --------------------------------------

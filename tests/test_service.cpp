@@ -760,29 +760,31 @@ TEST_F(ServiceResume, SeedReplayTraceHashCoversResumeEvents) {
 // with resumed jobs actually completing — the CI service-soak assertion,
 // in-process.
 TEST_F(ServiceResume, ResumableSoakUnderBudgetCompletesResumedJobs) {
-  // A 2 ms per-attempt deadline, enforced by a fast watchdog poll,
-  // interrupts first attempts mid-materialization; retries resume from
-  // the ledger. The per-job budget keeps allocation pressure on without
-  // starving the initial storage bind. Salvaged-block counts are
-  // timing-dependent under a real pool, so the deterministic salvage
-  // assertions live in RetryResumesFromLedgerAndRecordsProgress; here we
-  // require that resumed jobs exist and that some of them complete.
-  pbds::sched::start_watchdog({/*period_ms=*/2, /*warn_intervals=*/0,
-                               /*cancel_intervals=*/0});
+  // A seeded one-shot stall at a block boundary interrupts one attempt
+  // mid-materialization; the service retries it (stall_detected is
+  // retryable) and the retry resumes from the ledger. The per-job budget
+  // keeps allocation pressure on without starving the initial storage
+  // bind. Which job the stall lands in depends on the pool's timing, so
+  // the deterministic salvage assertions live in
+  // RetryResumesFromLedgerAndRecordsProgress; here we require that resumed
+  // jobs exist and that some of them complete. The deadline-driven
+  // interruption is the CI service-soak resumable step's (--deadline-ms 2).
   soak_config cfg;
   cfg.producers = 4;
   cfg.jobs_per_producer = 10;
   cfg.n = 1 << 19;
   cfg.resumable = true;
   cfg.job_budget_bytes = 16 * 1024 * 1024;
-  cfg.job_deadline_ms = 2;
   cfg.service.queue_capacity = 8;
   cfg.service.policy = backpressure::reject;
   cfg.service.dispatchers = 2;
   cfg.service.default_retries = 3;
   cfg.service.default_backoff_us = 1;
+  pbds::recovery::scoped_boundary_faults stall(
+      pbds::recovery::boundary_fault_kind::stall,
+      static_cast<std::int64_t>(cfg.seed % 64));
   auto r = run_soak(cfg);
-  pbds::sched::stop_watchdog();
+  EXPECT_EQ(stall.injected(), 1u);
   EXPECT_EQ(r.stats.submitted, 40u);
   EXPECT_EQ(r.stats.completed + r.stats.failed + r.stats.rejected +
                 r.stats.shed + r.stats.cancelled,
