@@ -487,7 +487,8 @@ void dump_metrics(json_report* report) {
 // the instrumentation-dense path (every admit/retry/complete crosses the
 // registry choke point). CI gates the ratio at 1.05. Each kernel returns
 // the seconds it timed: the soak times only its body, so its per-class
-// oracle stays out of both arms.
+// oracle stays out of both arms. A soak sample whose completed jobs differ
+// from that oracle, or whose outcomes do not add up, fails the run.
 //
 // One fused reduce at CI's -n 4194304 lasts only a few milliseconds, where
 // scheduling noise swamps a 5% gate, so a fused-reduce sample runs a fixed
@@ -535,14 +536,15 @@ int run_metrics_overhead(const cli& c) {
                         fused_reduce();
                       return seconds_since(t0);
                     }});
-  shapes.push_back({"service-soak", [&c] {
+  std::string soak_err;
+  shapes.push_back({"service-soak", [&c, &soak_err] {
                       pbds::service::soak_config scfg;
-                      scfg.service = pbds::service::service_config::from_env();
                       scfg.producers = 4;
                       scfg.jobs_per_producer = 32;
                       scfg.n = c.n ? c.n : (std::size_t{1} << 14);
                       auto r = pbds::service::run_soak(scfg);
-                      do_not_optimize(r.stats.completed);
+                      if (soak_err.empty())
+                        soak_err = pbds::service::soak_error(r);
                       return r.seconds;
                     }});
   std::unique_ptr<json_report> report;
@@ -595,6 +597,11 @@ int run_metrics_overhead(const cli& c) {
                     {"overhead_ratio", r}}});
     }
     std::fflush(stdout);
+  }
+  if (!soak_err.empty()) {
+    std::fprintf(stderr, "pbdsbench: service-soak sample FAILED: %s\n",
+                 soak_err.c_str());
+    rc = 1;
   }
   if (report && !report->ok()) rc = 1;
   return rc;

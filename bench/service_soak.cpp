@@ -3,12 +3,10 @@
 // Drives pipeline_service with more producers than it can absorb and
 // reports throughput, shed rate, and completed-job latency percentiles
 // (p50/p99). The CI soak job runs this at 2× capacity with a constrained
-// PBDS_BUDGET_BYTES and the watchdog armed: the assertion is simply that
-// it finishes — no hang, no abort, shed work accounted for — and the
-// json_report row records how it degraded.
-//
-// Service knobs come from PBDS_SERVICE_* (service_config::from_env) and
-// can be overridden by flags.
+// PBDS_BUDGET_BYTES and the watchdog armed. The run fails (exit 1) when a
+// completed job differs from the per-class oracle or when the outcomes do
+// not add up to the submissions; the json_report row records how it
+// degraded.
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -21,7 +19,6 @@ int main(int argc, char** argv) {
   namespace bd = pbds::bench_common::detail;
   using namespace pbds::service;  // NOLINT
   soak_config cfg;
-  cfg.service = service_config::from_env();
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     auto is = [&](const char* f) { return std::strcmp(argv[i], f) == 0; };
@@ -45,20 +42,17 @@ int main(int argc, char** argv) {
       cfg.poison_class = static_cast<int>(bd::parse_long_arg(
           "--poison", bd::require_value("--poison", i, argc, argv), 0, 3));
     } else if (is("--budget")) {
-      cfg.job_budget_bytes = bd::parse_long_arg(
+      cfg.job.budget_bytes = bd::parse_long_arg(
           "--budget", bd::require_value("--budget", i, argc, argv), 1,
           std::numeric_limits<long>::max());
     } else if (is("--deadline-ms")) {
-      cfg.job_deadline_ms = bd::parse_long_arg(
+      cfg.job.deadline_ms = bd::parse_long_arg(
           "--deadline-ms", bd::require_value("--deadline-ms", i, argc, argv),
           1, 3600000);
     } else if (is("--queue-cap")) {
       cfg.service.queue_capacity = static_cast<std::size_t>(bd::parse_long_arg(
           "--queue-cap", bd::require_value("--queue-cap", i, argc, argv), 1,
           1 << 20));
-    } else if (is("--policy")) {
-      cfg.service.policy = static_cast<backpressure>(bd::parse_long_arg(
-          "--policy", bd::require_value("--policy", i, argc, argv), 0, 2));
     } else if (is("--dispatchers")) {
       cfg.service.dispatchers = static_cast<unsigned>(bd::parse_long_arg(
           "--dispatchers", bd::require_value("--dispatchers", i, argc, argv),
@@ -71,13 +65,14 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: %s [--producers P] [--jobs J] [-n SIZE] [--seed S]\n"
           "          [--poison CLASS] [--budget BYTES] [--deadline-ms MS]\n"
-          "          [--queue-cap Q] [--policy 0|1|2] [--dispatchers D]\n"
-          "          [--resumable] [--json PATH]\n"
-          "policy: 0 = block, 1 = reject, 2 = shed_oldest\n"
+          "          [--queue-cap Q] [--dispatchers D] [--resumable]\n"
+          "          [--json PATH]\n"
+          "A full queue refuses the submission (counted as rejected).\n"
           "--resumable: submit checkpointed jobs; retries resume at block\n"
           "             granularity instead of restarting\n"
           "Every completed job is checked against a per-class oracle\n"
-          "computed after the drain; the count of mismatches must be 0.\n",
+          "computed after the drain; the run exits 1 on any mismatch or\n"
+          "when the outcomes do not add up to the submissions.\n",
           argv[0]);
       return 0;
     } else {
@@ -89,32 +84,25 @@ int main(int argc, char** argv) {
   auto r = run_soak(cfg);
   std::printf(
       "service-soak: %llu submitted, %llu completed, %llu rejected, "
-      "%llu shed, %llu cancelled, %llu failed\n"
+      "%llu cancelled, %llu failed\n"
       "  throughput %.1f jobs/s, shed rate %.3f, p50 %.2f ms, p99 %.2f ms, "
-      "retries %llu, breaker trips %llu, trace hash %016llx, "
-      "%llu result mismatches\n",
+      "retries %llu, %llu result mismatches\n",
       static_cast<unsigned long long>(r.stats.submitted),
       static_cast<unsigned long long>(r.stats.completed),
       static_cast<unsigned long long>(r.stats.rejected),
-      static_cast<unsigned long long>(r.stats.shed),
       static_cast<unsigned long long>(r.stats.cancelled),
       static_cast<unsigned long long>(r.stats.failed),
       r.throughput_jobs_per_s, r.shed_rate, r.p50_ms, r.p99_ms,
       static_cast<unsigned long long>(r.stats.retries),
-      static_cast<unsigned long long>(r.stats.breaker_trips),
-      static_cast<unsigned long long>(r.trace_hash),
       static_cast<unsigned long long>(r.result_mismatches));
   if (cfg.resumable) {
     std::printf(
         "  resume: %llu resumed, %llu completed-after-resume, "
-        "%llu blocks salvaged, %llu blocks redone, %llu parked, "
-        "%llu readmitted\n",
+        "%llu blocks salvaged, %llu blocks redone\n",
         static_cast<unsigned long long>(r.stats.resumed),
         static_cast<unsigned long long>(r.stats.completed_after_resume),
         static_cast<unsigned long long>(r.stats.blocks_salvaged),
-        static_cast<unsigned long long>(r.stats.blocks_redone),
-        static_cast<unsigned long long>(r.stats.parked),
-        static_cast<unsigned long long>(r.stats.readmitted));
+        static_cast<unsigned long long>(r.stats.blocks_redone));
   }
 
   if (!json_path.empty()) {
@@ -135,12 +123,9 @@ int main(int argc, char** argv) {
                  {"p99_ms", r.p99_ms},
                  {"completed", static_cast<double>(r.stats.completed)},
                  {"rejected", static_cast<double>(r.stats.rejected)},
-                 {"shed", static_cast<double>(r.stats.shed)},
                  {"cancelled", static_cast<double>(r.stats.cancelled)},
                  {"failed", static_cast<double>(r.stats.failed)},
                  {"retries", static_cast<double>(r.stats.retries)},
-                 {"breaker_trips",
-                  static_cast<double>(r.stats.breaker_trips)},
                  {"resumed", static_cast<double>(r.stats.resumed)},
                  {"completed_after_resume",
                   static_cast<double>(r.stats.completed_after_resume)},
@@ -148,9 +133,6 @@ int main(int argc, char** argv) {
                   static_cast<double>(r.stats.blocks_salvaged)},
                  {"blocks_redone",
                   static_cast<double>(r.stats.blocks_redone)},
-                 {"parked", static_cast<double>(r.stats.parked)},
-                 {"readmitted",
-                  static_cast<double>(r.stats.readmitted)},
                  {"result_mismatches",
                   static_cast<double>(r.result_mismatches)}}});
     if (!report.ok()) {
@@ -158,6 +140,10 @@ int main(int argc, char** argv) {
                    report.last_error().c_str());
       return 1;
     }
+  }
+  if (const std::string err = soak_error(r); !err.empty()) {
+    std::fprintf(stderr, "service-soak: FAILED: %s\n", err.c_str());
+    return 1;
   }
   return 0;
 }

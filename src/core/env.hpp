@@ -1,10 +1,10 @@
 // Strict environment-variable parsing, shared by every PBDS_* knob.
 //
-// PBDS_NUM_THREADS, PBDS_WATCHDOG_MS, PBDS_BUDGET_BYTES and the
-// PBDS_SERVICE_* knobs all follow the same contract: a knob is either a
+// PBDS_NUM_THREADS, PBDS_WATCHDOG_MS, PBDS_BUDGET_BYTES and the other
+// integer knobs all follow the same contract: a knob is either a
 // full-string integer inside its documented range, or it is *ignored* with
 // a single warning on stderr — a malformed value must never silently
-// misconfigure the pool, the watchdog, or the service. This header is the
+// misconfigure the pool, the watchdog, or the budget. This header is the
 // one implementation of that contract (it used to be hand-rolled
 // strtol+range-check+warn-once at each call site).
 #pragma once
@@ -60,22 +60,14 @@ inline long long env_integer(const char* name, long long lo, long long hi,
 
 // The authoritative PBDS_* knob table — every knob any layer reads. The
 // consolidated table in docs/TESTING.md mirrors this list; a new knob is
-// added in both places or the unknown-variable warning below flags it.
+// added in both places or the unknown-variable warning below flags it
+// (tests/check_knobs.py checks the two against each other and the code).
 inline constexpr const char* kKnownEnvKnobs[] = {
     "PBDS_NUM_THREADS",
     "PBDS_SEED",
     "PBDS_NO_BULK",
     "PBDS_BUDGET_BYTES",
     "PBDS_WATCHDOG_MS",
-    "PBDS_SERVICE_QUEUE_CAP",
-    "PBDS_SERVICE_POLICY",
-    "PBDS_SERVICE_DISPATCHERS",
-    "PBDS_SERVICE_BREAKER_K",
-    "PBDS_SERVICE_BREAKER_COOLDOWN",
-    "PBDS_SERVICE_RETRIES",
-    "PBDS_SERVICE_BACKOFF_US",
-    "PBDS_SERVICE_TRACE_CAP",
-    "PBDS_RESUME_MAX_PARKED",
     "PBDS_METRICS",
     "PBDS_TRACE_FILE",
     "PBDS_TRACE_CAP",

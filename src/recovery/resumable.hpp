@@ -1,6 +1,7 @@
 // resumable_result<T> — partially-materialized storage that survives a
 // failure — and job_checkpoint, the per-job container the pipeline service
-// threads through retries and drain/readmit.
+// threads through retries (a caller may keep it and submit it again after
+// a drain).
 //
 // Storage model: one parray<T> (shared_ptr so a completed result can be
 // exposed as a rad_shared view without copying) plus a block_ledger over
@@ -23,8 +24,8 @@
 // Completed results are deliberately retained: a checkpointed op re-entered
 // after its slot completed salvages every block and returns the same
 // storage, which is what makes multi-op jobs resume without redoing
-// earlier stages. The memory is released when the owning checkpoint dies
-// (job completion / park expiry) — parked bytes ARE the salvaged work.
+// earlier stages. The memory is released when the owning checkpoint dies;
+// until then the retained bytes ARE the salvaged work.
 #pragma once
 
 #include <cassert>
@@ -134,8 +135,8 @@ class resumable_result {
 
 // -------------------------------------------------------------------------
 // job_checkpoint: a type-erased bag of resumable_results keyed by slot id,
-// carried across attempts of one service job (and across services via
-// drain-park/readmit). A job's thunk asks for its slots by stable keys:
+// carried across attempts of one service job (and across services when a
+// caller submits it again). A job's thunk asks for its slots by stable keys:
 //
 //   auto& rr = ck.slot<std::uint64_t>(0);
 //   total = recovery::reduce(plus, 0ull, seq, rr);
@@ -176,9 +177,8 @@ class job_checkpoint {
     return p;
   }
 
-  // Attempt bookkeeping: the service bumps this once per *actual thunk
-  // execution* (a retry refused by the breaker-open fast path burns no
-  // attempt).
+  // Attempt bookkeeping: the service bumps this once per thunk
+  // execution.
   void begin_attempt() {
     attempts_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,11 +1,11 @@
 // pbds::overloaded — the pipeline service's refusal exception.
 //
-// The service (pipeline_service.hpp) sheds load instead of queueing
-// unboundedly; every shed path surfaces as this one exception type, with
-// an `overload_reason` saying *which* protection fired. Like
-// budget_exceeded and stall_detected, it flows through the fork-join
-// cancellation protocol as an ordinary exception: a drained-away in-flight
-// job's root join rethrows it with the pool quiescent.
+// The service (pipeline_service.hpp) refuses load instead of queueing
+// unboundedly; every refusal surfaces as this one exception type, with an
+// `overload_reason` saying *which* limit fired. Like budget_exceeded and
+// stall_detected, it flows through the fork-join cancellation protocol as
+// an ordinary exception: a drained-away in-flight job's root join
+// rethrows it with the pool quiescent.
 #pragma once
 
 #include <stdexcept>
@@ -14,9 +14,7 @@
 namespace pbds {
 
 enum class overload_reason : unsigned char {
-  queue_full,       // admission queue at capacity under the reject policy
-  shed,             // this (oldest) queued job was dropped to admit a newer one
-  circuit_open,     // the job class's circuit breaker is open
+  queue_full,       // admission queue at capacity
   draining,         // the service no longer accepts work
   drain_cancelled,  // drain deadline passed before this job finished
 };
@@ -25,10 +23,6 @@ enum class overload_reason : unsigned char {
   switch (r) {
     case overload_reason::queue_full:
       return "queue_full";
-    case overload_reason::shed:
-      return "shed";
-    case overload_reason::circuit_open:
-      return "circuit_open";
     case overload_reason::draining:
       return "draining";
     case overload_reason::drain_cancelled:

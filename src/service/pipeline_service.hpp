@@ -1,36 +1,27 @@
-// pipeline_service — an overload-resilient executor for delayed-pipeline
-// jobs on the fork-join pool.
+// pipeline_service — a bounded executor for delayed-pipeline jobs on the
+// fork-join pool.
 //
 // The paper's library gives each *pipeline* bounded space; this layer
-// gives a *process full of concurrent pipelines* bounded everything:
+// runs a *process full of concurrent pipelines* within bounds:
 //
-//   admission     — a bounded FIFO with a configurable backpressure policy
-//                   (block / reject with pbds::overloaded / shed-oldest).
-//   isolation     — each job runs under its own budget_scope + deadline
-//                   (job_limits), so one hog degrades itself, not the
-//                   service.
-//   retry         — budget_exceeded / stall_detected are transient under
-//                   concurrency; jobs retry with jittered exponential
-//                   backoff before failing for real.
-//   circuit break — a per-class breaker (circuit_breaker.hpp) stops
-//                   admitting a poisoned job class after K consecutive
-//                   failures, probing it half-open after a count-based
-//                   cooldown.
-//   drain         — stop admissions, run what's queued under a drain
-//                   deadline, cancel stragglers through the fork-join
-//                   cancellation protocol, leave the pool quiescent and
-//                   reusable.
-//
-// Every decision (admit / reject / shed / trip / probe / cancel / drain)
-// is taken under one mutex, in submission order, and recorded in an event
-// trace with an FNV-1a hash — run the same decision-relevant inputs (same
-// seed, manual mode) twice and the traces are identical, which is how
-// tests/test_service.cpp replays overload interleavings (docs/TESTING.md).
+//   admission — a bounded FIFO; a full queue refuses the submission with
+//               pbds::overloaded{queue_full}.
+//   isolation — each job runs under its own budget_scope + deadline
+//               (job_limits), so one hog degrades itself, not the
+//               service.
+//   retry     — budget_exceeded / stall_detected are transient under
+//               concurrency; jobs retry with jittered exponential backoff
+//               before failing for real, and a checkpointed job resumes
+//               from its ledger instead of restarting.
+//   drain     — stop admissions, run what's queued under a drain
+//               deadline, cancel stragglers through the fork-join
+//               cancellation protocol, leave the pool quiescent and
+//               reusable.
 //
 // Threading modes:
 //   dispatchers = 0  — *manual*: nothing runs until the owner calls
-//                      run_one() / drain(); fully deterministic, used by
-//                      the replay tests.
+//                      run_one() / drain(), so a test scripts the
+//                      interleaving of submissions and executions.
 //   dispatchers > 0  — that many service threads pull jobs. Dispatchers
 //                      enroll as scheduler guests (sched::guest_worker) so
 //                      the pipelines they run fork real stealable work
@@ -41,7 +32,7 @@
 // thread; submit/ticket APIs are thread-safe.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -53,18 +44,14 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/env.hpp"
 #include "memory/budget.hpp"
 #include "recovery/resumable.hpp"
 #include "sched/cancellation.hpp"
 #include "sched/exec_policy.hpp"
 #include "sched/scheduler.hpp"
-#include "service/admission_queue.hpp"
-#include "service/circuit_breaker.hpp"
 #include "service/overloaded.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -72,60 +59,17 @@
 namespace pbds::service {
 
 // Per-job resource envelope. Non-positive budget/deadline means "no
-// constraint"; negative retry fields mean "use the service default".
+// constraint".
 struct job_limits {
-  std::int64_t budget_bytes = 0;      // budget_scope for the job's pipelines
-  long deadline_ms = 0;               // per-attempt region deadline
-  int max_retries = -1;               // retries of budget_exceeded/stall
-  std::int64_t retry_backoff_us = -1; // base of the jittered backoff ladder
+  std::int64_t budget_bytes = 0;       // budget_scope for the job's pipelines
+  long deadline_ms = 0;                // per-attempt region deadline
+  int max_retries = 2;                 // retries of budget_exceeded/stall
+  std::int64_t retry_backoff_us = 100; // base of the jittered backoff ladder
 };
 
 struct service_config {
-  std::size_t queue_capacity = 64;
-  backpressure policy = backpressure::block;
-  unsigned dispatchers = 0;       // 0 = manual mode (owner calls run_one)
-  int breaker_threshold = 4;      // K consecutive failures trip a class
-  int breaker_cooldown = 8;       // refusals while open before a probe
-  int default_retries = 2;
-  std::int64_t default_backoff_us = 100;
-  std::uint64_t seed = 0x5eedull; // salts the per-job retry jitter
-  // Newest trace entries retained for trace(); older ones are dropped
-  // (counted in trace_dropped()). trace_hash() stays incremental over the
-  // *full* event sequence, so replay fingerprints survive the bound.
-  std::size_t trace_capacity = 1 << 16;
-  // Most resumable jobs drain() will park for readmission into a later
-  // service; beyond this, drain-cancelled checkpoints are discarded.
-  std::size_t max_parked = 256;
-
-  // PBDS_SERVICE_* knobs, parsed strictly (core/env.hpp): malformed
-  // values warn once and keep the default. POLICY is numeric:
-  // 0 = block, 1 = reject, 2 = shed_oldest.
-  [[nodiscard]] static service_config from_env() {
-    namespace de = pbds::detail;
-    service_config c;
-    c.queue_capacity = static_cast<std::size_t>(de::env_integer(
-        "PBDS_SERVICE_QUEUE_CAP", 1, 1 << 20,
-        static_cast<long long>(c.queue_capacity)));
-    c.policy = static_cast<backpressure>(de::env_integer(
-        "PBDS_SERVICE_POLICY", 0, 2, static_cast<long long>(c.policy)));
-    c.dispatchers = static_cast<unsigned>(de::env_integer(
-        "PBDS_SERVICE_DISPATCHERS", 0, 64, c.dispatchers));
-    c.breaker_threshold = static_cast<int>(de::env_integer(
-        "PBDS_SERVICE_BREAKER_K", 1, 1000000, c.breaker_threshold));
-    c.breaker_cooldown = static_cast<int>(de::env_integer(
-        "PBDS_SERVICE_BREAKER_COOLDOWN", 1, 1000000, c.breaker_cooldown));
-    c.default_retries = static_cast<int>(
-        de::env_integer("PBDS_SERVICE_RETRIES", 0, 100, c.default_retries));
-    c.default_backoff_us = de::env_integer("PBDS_SERVICE_BACKOFF_US", 0,
-                                           10000000, c.default_backoff_us);
-    c.trace_capacity = static_cast<std::size_t>(de::env_integer(
-        "PBDS_SERVICE_TRACE_CAP", 0, 1 << 24,
-        static_cast<long long>(c.trace_capacity)));
-    c.max_parked = static_cast<std::size_t>(de::env_integer(
-        "PBDS_RESUME_MAX_PARKED", 0, 1 << 20,
-        static_cast<long long>(c.max_parked)));
-    return c;
-  }
+  std::size_t queue_capacity = 64;  // values < 1 are clamped to 1
+  unsigned dispatchers = 0;         // 0 = manual mode (owner calls run_one)
 };
 
 enum class job_status : unsigned char {
@@ -133,7 +77,6 @@ enum class job_status : unsigned char {
   running,
   done,
   failed,     // thunk failed after the retry ladder
-  shed,       // evicted by the shed_oldest policy
   cancelled,  // drain deadline cancelled it (queued or in flight)
 };
 
@@ -141,77 +84,16 @@ enum class job_status : unsigned char {
   return s != job_status::queued && s != job_status::running;
 }
 
-// Service decisions, in the order they are taken; the trace of
-// (event, job_class) pairs is the replay artifact.
-enum class event : unsigned char {
-  admit,
-  reject_full,      // reject policy, queue at capacity
-  shed,             // shed_oldest evicted this class's oldest queued job
-  reject_open,      // circuit breaker refused the class
-  probe,            // breaker admitted a half-open probe
-  reject_draining,  // submitted after drain began
-  complete,
-  fail,
-  retry,
-  trip,   // breaker closed -> open
-  close,  // probe succeeded, breaker open -> closed
-  cancel, // drain cancelled a queued or in-flight job
-  drain_begin,
-  drain_end,
-  resume,   // a retry of a checkpointed job (aux = blocks already complete)
-  park,     // drain parked a cancelled resumable job's checkpoint
-  readmit,  // a parked checkpoint was resubmitted (aux = blocks salvageable)
-};
-
-[[nodiscard]] constexpr const char* to_string(event e) noexcept {
-  switch (e) {
-    case event::admit: return "admit";
-    case event::reject_full: return "reject_full";
-    case event::shed: return "shed";
-    case event::reject_open: return "reject_open";
-    case event::probe: return "probe";
-    case event::reject_draining: return "reject_draining";
-    case event::complete: return "complete";
-    case event::fail: return "fail";
-    case event::retry: return "retry";
-    case event::trip: return "trip";
-    case event::close: return "close";
-    case event::cancel: return "cancel";
-    case event::drain_begin: return "drain_begin";
-    case event::drain_end: return "drain_end";
-    case event::resume: return "resume";
-    case event::park: return "park";
-    case event::readmit: return "readmit";
-  }
-  return "unknown";
-}
-
-struct trace_entry {
-  event ev;
-  unsigned job_class;
-  // Event-specific payload: resumed/salvageable block counts for
-  // resume/park/readmit, 0 elsewhere. Folded into trace_hash(), so replay
-  // fingerprints cover *how much* progress recovery preserved, not just
-  // that it happened.
-  std::uint32_t aux = 0;
-  friend bool operator==(const trace_entry&, const trace_entry&) = default;
-};
-
 struct service_stats {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;  // queue_full + circuit_open + draining
-  std::uint64_t shed = 0;
+  std::uint64_t rejected = 0;  // queue_full + draining
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t retries = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t breaker_probes = 0;
   // Recovery accounting (checkpointed jobs only).
   std::uint64_t resumed = 0;                // retries that resumed a ledger
-  std::uint64_t parked = 0;                 // checkpoints parked by drain
-  std::uint64_t readmitted = 0;             // parked checkpoints resubmitted
   std::uint64_t completed_after_resume = 0; // done on a 2nd+ attempt
   std::uint64_t blocks_salvaged = 0;        // block executions avoided
   std::uint64_t blocks_redone = 0;          // started-incomplete re-runs
@@ -226,15 +108,12 @@ namespace detail {
 struct job_record {
   std::function<void()> thunk;
   // Checkpointed jobs use these two instead of `thunk`: the checkpoint
-  // survives failed attempts (retry resumes it) and drain (parked for
-  // readmission into a later service).
+  // survives failed attempts, so a retry resumes it.
   resumable_fn rthunk;
   std::shared_ptr<recovery::job_checkpoint> checkpoint;
-  bool readmitted = false;  // admitted with a previously-run checkpoint
   unsigned job_class = 0;
   job_limits limits;
   std::uint64_t id = 0;
-  bool probe = false;  // this admission is the class's half-open probe
   // End-to-end latency clock: submit construction to terminal transition
   // (telemetry::hist::service_latency_us).
   std::chrono::steady_clock::time_point submitted_at =
@@ -248,16 +127,6 @@ struct job_record {
 };
 
 }  // namespace detail
-
-// A drain-cancelled resumable job, extracted via take_parked(): everything
-// needed to resubmit it (resubmit()) into this or a fresh service, with
-// its partial progress intact.
-struct parked_job {
-  unsigned job_class = 0;
-  job_limits limits;
-  resumable_fn thunk;
-  std::shared_ptr<recovery::job_checkpoint> checkpoint;
-};
 
 // Handle to a submitted job. Copyable; outliving the service is safe (the
 // record is shared), but wait()/get() in manual mode only return if
@@ -283,8 +152,8 @@ class job_ticket {
     rec_->cv.wait(lock, [&] { return is_terminal(rec_->status); });
   }
 
-  // Wait, then rethrow the job's failure (overloaded for shed/cancelled,
-  // the thunk's own exception for failed). Returns normally iff done.
+  // Wait, then rethrow the job's failure (overloaded for cancelled, the
+  // thunk's own exception for failed). Returns normally iff done.
   void get() const {
     wait();
     std::lock_guard<std::mutex> lock(rec_->m);
@@ -301,8 +170,8 @@ class job_ticket {
 
 class pipeline_service {
  public:
-  explicit pipeline_service(service_config cfg = {})
-      : cfg_(cfg), queue_(cfg.queue_capacity) {
+  explicit pipeline_service(service_config cfg = {}) : cfg_(cfg) {
+    cfg_.queue_capacity = std::max<std::size_t>(cfg_.queue_capacity, 1);
     if (cfg_.dispatchers > 0) {
       // Touch the pool from the owner thread first: get_scheduler()
       // enrolls the *first* caller as worker 0, and that must not be a
@@ -322,120 +191,35 @@ class pipeline_service {
   pipeline_service& operator=(const pipeline_service&) = delete;
 
   // Submit a pipeline job. Throws pbds::overloaded when the service
-  // refuses it (reject policy with a full queue, open circuit for the
-  // class, or draining); under the block policy a full queue blocks the
-  // caller until space frees or drain begins.
+  // refuses it: a full queue (queue_full) or a drain in progress
+  // (draining).
   job_ticket submit(unsigned job_class, std::function<void()> thunk,
                     job_limits limits = {}) {
     auto rec = std::make_shared<detail::job_record>();
     rec->thunk = std::move(thunk);
     rec->job_class = job_class;
-    rec->limits = resolve(limits);
+    rec->limits = limits;
     return admit(std::move(rec));
   }
 
   // Submit a checkpointed job: `fn` receives the job's checkpoint and
   // binds resumable slots for the checkpointed ops it runs. Retries resume
-  // from the checkpoint instead of restarting, and a drain parks it for
-  // readmission. Pass an existing checkpoint (e.g. from a parked job) to
-  // continue its progress; a fresh one is created otherwise.
+  // from the checkpoint instead of restarting. Pass an existing checkpoint
+  // (e.g. one a caller kept from a job a drain cancelled) to continue its
+  // progress, in this or another service; a fresh one is created
+  // otherwise.
   job_ticket submit_resumable(
       unsigned job_class, resumable_fn fn, job_limits limits = {},
       std::shared_ptr<recovery::job_checkpoint> checkpoint = nullptr) {
     auto rec = std::make_shared<detail::job_record>();
-    rec->readmitted = checkpoint != nullptr && checkpoint->attempts() > 0;
     rec->checkpoint = checkpoint ? std::move(checkpoint)
                                  : std::make_shared<recovery::job_checkpoint>();
     rec->rthunk = std::move(fn);
     rec->job_class = job_class;
-    rec->limits = resolve(limits);
+    rec->limits = limits;
     return admit(std::move(rec));
   }
 
-  // Resubmit a job parked by a drain (possibly into a different service),
-  // resuming from its parked checkpoint.
-  job_ticket resubmit(parked_job&& pj) {
-    return submit_resumable(pj.job_class, std::move(pj.thunk), pj.limits,
-                            std::move(pj.checkpoint));
-  }
-
-  // Extract the jobs drain() parked (resumable jobs it had to cancel).
-  [[nodiscard]] std::vector<parked_job> take_parked() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<parked_job> out;
-    out.reserve(parked_.size());
-    for (auto& pj : parked_) out.push_back(std::move(pj));
-    parked_.clear();
-    return out;
-  }
-
- private:
-  job_ticket admit(std::shared_ptr<detail::job_record> rec) {
-    const unsigned job_class = rec->job_class;
-    std::unique_lock<std::mutex> lk(mutex_);
-    rec->id = next_job_id_++;
-    ++stats_.submitted;
-    if (draining_) return refuse(rec, event::reject_draining,
-                                 overload_reason::draining);
-    // Breaker first: a refused class must not consume queue space or
-    // evict anyone else's queued work.
-    auto& brk = breaker_for(job_class);
-    switch (brk.on_submit()) {
-      case circuit_breaker::decision::refuse:
-        return refuse(rec, event::reject_open, overload_reason::circuit_open);
-      case circuit_breaker::decision::probe:
-        rec->probe = true;
-        ++stats_.breaker_probes;
-        record(event::probe, job_class);
-        break;
-      case circuit_breaker::decision::admit:
-        break;
-    }
-    while (queue_.full()) {
-      if (draining_) {
-        if (rec->probe) brk.abort_probe();
-        return refuse(rec, event::reject_draining, overload_reason::draining);
-      }
-      switch (cfg_.policy) {
-        case backpressure::reject:
-          if (rec->probe) brk.abort_probe();
-          return refuse(rec, event::reject_full,
-                        overload_reason::queue_full);
-        case backpressure::shed_oldest: {
-          auto victim = queue_.evict_oldest();
-          record(event::shed, victim->job_class);
-          ++stats_.shed;
-          finish(std::move(victim), job_status::shed,
-                 std::make_exception_ptr(overloaded(overload_reason::shed)));
-          break;
-        }
-        case backpressure::block:
-          cv_space_.wait(lk, [&] { return draining_ || !queue_.full(); });
-          break;
-      }
-    }
-    // A blocked submitter can wake to a queue that drain just emptied
-    // (take_all frees space and sets draining_ in one step); admitting
-    // here would enqueue a job nothing will ever run. Drain wins.
-    if (draining_) {
-      if (rec->probe) brk.abort_probe();
-      return refuse(rec, event::reject_draining, overload_reason::draining);
-    }
-    queue_.push(rec);
-    record(event::admit, job_class);
-    ++stats_.admitted;
-    if (rec->readmitted) {
-      record(event::readmit, job_class,
-             static_cast<std::uint32_t>(
-                 rec->checkpoint->aggregate().blocks_complete));
-      ++stats_.readmitted;
-    }
-    lk.unlock();
-    cv_work_.notify_one();
-    return job_ticket(std::move(rec));
-  }
-
- public:
   // Manual mode: run the next queued job on the calling thread. Returns
   // false when the queue is empty. Must be called outside any fork-join
   // region.
@@ -443,11 +227,9 @@ class pipeline_service {
     std::shared_ptr<detail::job_record> rec;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      rec = queue_.pop();
-      if (!rec) return false;
-      ++running_;
+      if (queue_.empty()) return false;
+      rec = pop_locked();
     }
-    cv_space_.notify_one();
     execute(std::move(rec));
     return true;
   }
@@ -462,10 +244,9 @@ class pipeline_service {
       if (drained_) return;
       if (!draining_) {
         draining_ = true;
-        record(event::drain_begin, 0);
+        mark("drain_begin", 0);
       }
     }
-    cv_space_.notify_all();  // blocked submitters observe draining_
     const auto cutoff = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms < 0 ? 0 : deadline_ms);
     const bool bounded = deadline_ms >= 0;
@@ -493,13 +274,11 @@ class pipeline_service {
     // their root cancel_state and collapse cooperatively.
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      for (auto& rec : queue_.take_all()) {
-        record(event::cancel, rec->job_class);
+      std::deque<std::shared_ptr<detail::job_record>> left;
+      left.swap(queue_);
+      for (auto& rec : left) {
+        mark("cancel", rec->job_class);
         ++stats_.cancelled;
-        // A cancelled probe never reports on_result; re-open the breaker
-        // (with cooldown credit) so the class isn't stranded half_open.
-        if (rec->probe) breaker_for(rec->job_class).abort_probe();
-        park_locked(*rec);
         finish(std::move(rec), job_status::cancelled,
                std::make_exception_ptr(
                    overloaded(overload_reason::drain_cancelled)));
@@ -517,7 +296,7 @@ class pipeline_service {
     sched::quiesce();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      record(event::drain_end, 0);
+      mark("drain_end", 0);
       drained_ = true;
     }
   }
@@ -533,7 +312,7 @@ class pipeline_service {
   }
 
   [[nodiscard]] std::size_t queue_capacity() const noexcept {
-    return queue_.capacity();
+    return cfg_.queue_capacity;
   }
 
   [[nodiscard]] service_stats stats() const {
@@ -541,145 +320,57 @@ class pipeline_service {
     return stats_;
   }
 
-  // The retained tail of the event trace — at most cfg.trace_capacity
-  // entries; trace_dropped() counts what aged out of the window.
-  [[nodiscard]] std::vector<trace_entry> trace() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return std::vector<trace_entry>(trace_.begin(), trace_.end());
-  }
-
-  [[nodiscard]] std::uint64_t trace_dropped() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return trace_dropped_;
-  }
-
-  // FNV-1a over the full (event, job_class) sequence — the replay
-  // fingerprint: two runs that made identical decisions in identical
-  // order hash equal. Folded incrementally in record(), so it covers
-  // every event ever taken even after old entries age out of trace().
-  [[nodiscard]] std::uint64_t trace_hash() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return trace_hash_;
-  }
-
-  [[nodiscard]] circuit_breaker::state breaker_state(unsigned job_class) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = breakers_.find(job_class);
-    return it == breakers_.end() ? circuit_breaker::state::closed
-                                 : it->second.current_state();
-  }
-
  private:
-  job_limits resolve(job_limits l) const noexcept {
-    if (l.max_retries < 0) l.max_retries = cfg_.default_retries;
-    if (l.retry_backoff_us < 0) l.retry_backoff_us = cfg_.default_backoff_us;
-    return l;
+  job_ticket admit(std::shared_ptr<detail::job_record> rec) {
+    std::unique_lock<std::mutex> lk(mutex_);
+    rec->id = next_job_id_++;
+    ++stats_.submitted;
+    if (draining_) refuse(rec, overload_reason::draining);
+    if (queue_.size() >= cfg_.queue_capacity)
+      refuse(rec, overload_reason::queue_full);
+    mark("admit", rec->job_class, telemetry::counter::jobs_admitted);
+    ++stats_.admitted;
+    queue_.push_back(rec);
+    lk.unlock();
+    cv_work_.notify_one();
+    return job_ticket(std::move(rec));
   }
 
-  // Record + finish + throw for every submission-time refusal. Called
-  // with the service mutex held. The record was never queued and submit
-  // throws before returning a ticket, but it still gets a terminal status
-  // so any future caller that stashed the record can't wait forever.
-  job_ticket refuse(std::shared_ptr<detail::job_record> rec, event ev,
-                    overload_reason reason) {
-    record(ev, rec->job_class);
+  // Finish + throw for every submission-time refusal. Called with the
+  // service mutex held. The record was never queued and submit throws
+  // before returning a ticket, but it still gets a terminal status so any
+  // future caller that stashed the record can't wait forever.
+  [[noreturn]] void refuse(const std::shared_ptr<detail::job_record>& rec,
+                           overload_reason reason) {
+    mark(reason == overload_reason::queue_full ? "reject_full"
+                                               : "reject_draining",
+         rec->job_class, telemetry::counter::jobs_shed);
     ++stats_.rejected;
-    finish(std::move(rec), job_status::failed,
+    finish(rec, job_status::failed,
            std::make_exception_ptr(overloaded(reason)));
     throw overloaded(reason);
   }
 
-  circuit_breaker& breaker_for(unsigned job_class) {
-    auto it = breakers_.find(job_class);
-    if (it == breakers_.end())
-      it = breakers_
-               .emplace(job_class,
-                        circuit_breaker(cfg_.breaker_threshold,
-                                        cfg_.breaker_cooldown))
-               .first;
-    return it->second;
+  // Pop the next job to run (FIFO). Called with the service mutex held.
+  std::shared_ptr<detail::job_record> pop_locked() {
+    auto rec = std::move(queue_.front());
+    queue_.pop_front();
+    ++running_;
+    return rec;
   }
 
-  void record(event ev, unsigned job_class, std::uint32_t aux = 0) {
-    // Mirror every decision into the process-wide metrics registry (and
-    // the trace timeline) — the per-class admit/shed/retry/breaker rows a
-    // dashboard reads without holding this service's mutex. Rejections of
-    // any flavor count as shed load; readmissions count as admissions.
-    {
-      using tc = telemetry::counter;
-      using cc = telemetry::class_counter;
-      switch (ev) {
-        case event::admit:
-        case event::readmit:
-          telemetry::count(tc::jobs_admitted);
-          telemetry::count_class(cc::admitted, job_class);
-          break;
-        case event::shed:
-        case event::reject_full:
-        case event::reject_open:
-        case event::reject_draining:
-          telemetry::count(tc::jobs_shed);
-          telemetry::count_class(cc::shed, job_class);
-          break;
-        case event::retry:
-        case event::resume:
-          telemetry::count(tc::jobs_retried);
-          telemetry::count_class(cc::retried, job_class);
-          break;
-        case event::complete:
-          telemetry::count(tc::jobs_completed);
-          break;
-        case event::fail:
-          telemetry::count(tc::jobs_failed);
-          break;
-        case event::trip:
-          telemetry::count(tc::breaker_trips);
-          telemetry::count_class(cc::breaker_trips, job_class);
-          break;
-        case event::probe:
-          telemetry::count(tc::breaker_probes);
-          break;
-        case event::close:
-          telemetry::count(tc::breaker_closes);
-          break;
-        default:
-          break;
-      }
-      if (telemetry::trace_enabled())
-        telemetry::trace_instant(telemetry::trace_kind::job, to_string(ev),
-                                 static_cast<std::int64_t>(job_class));
-    }
-    auto mix = [this](std::uint8_t b) {
-      trace_hash_ ^= b;
-      trace_hash_ *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint8_t>(ev));
-    mix(static_cast<std::uint8_t>(job_class));
-    mix(static_cast<std::uint8_t>(job_class >> 8));
-    mix(static_cast<std::uint8_t>(aux));
-    mix(static_cast<std::uint8_t>(aux >> 8));
-    mix(static_cast<std::uint8_t>(aux >> 16));
-    mix(static_cast<std::uint8_t>(aux >> 24));
-    trace_.push_back({ev, job_class, aux});
-    while (trace_.size() > cfg_.trace_capacity) {
-      trace_.pop_front();
-      ++trace_dropped_;
-    }
+  // Mark a service decision on the trace timeline, counting it in the
+  // metrics registry when it has a counter; a dashboard reads both
+  // without this service's mutex.
+  static void mark(const char* what, unsigned job_class) {
+    if (telemetry::trace_enabled())
+      telemetry::trace_instant(telemetry::trace_kind::job, what,
+                               static_cast<std::int64_t>(job_class));
   }
-
-  // Park a drain-cancelled resumable job's checkpoint for readmission.
-  // Called with the service mutex held. Bounded by cfg_.max_parked;
-  // overflow discards the checkpoint (the job is still reported
-  // cancelled either way).
-  void park_locked(detail::job_record& rec) {
-    if (!rec.checkpoint || !rec.rthunk) return;
-    if (parked_.size() >= cfg_.max_parked) return;
-    auto p = rec.checkpoint->aggregate();
-    parked_.push_back(parked_job{rec.job_class, rec.limits,
-                                 std::move(rec.rthunk), rec.checkpoint});
-    record(event::park, rec.job_class,
-           static_cast<std::uint32_t>(p.blocks_complete));
-    ++stats_.parked;
+  static void mark(const char* what, unsigned job_class,
+                   telemetry::counter c) {
+    telemetry::count(c);
+    mark(what, job_class);
   }
 
   // Terminal transition on a record. Service mutex may be held; takes the
@@ -712,10 +403,8 @@ class pipeline_service {
         std::unique_lock<std::mutex> lk(mutex_);
         cv_work_.wait(lk, [&] { return stop_dispatch_ || !queue_.empty(); });
         if (queue_.empty()) return;  // stop requested, backlog cancelled
-        rec = queue_.pop();
-        ++running_;
+        rec = pop_locked();
       }
-      cv_space_.notify_one();
       execute(std::move(rec));
     }
   }
@@ -727,45 +416,25 @@ class pipeline_service {
     }
     const job_limits& lim = rec->limits;
     std::exception_ptr err;
-    bool success = false;
     for (int attempt = 0;; ++attempt) {
       err = run_attempt(*rec);
-      if (!err) {
-        success = true;
-        break;
-      }
-      if (!retryable(err) || attempt >= lim.max_retries) break;
+      if (!err || !retryable(err) || attempt >= lim.max_retries) break;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         if (draining_) break;  // honor the drain deadline over retries
-        // A retry is pointless while the class's breaker is open (other
-        // executions of the class tripped it since this job was
-        // admitted): fail fast *without* burning a checkpoint attempt or
-        // counting a retry — the job never re-executes, so its ledger
-        // budget must stay intact for a later readmission.
-        auto it = breakers_.find(rec->job_class);
-        if (it != breakers_.end() &&
-            it->second.current_state() == circuit_breaker::state::open) {
-          record(event::reject_open, rec->job_class);
-          err = std::make_exception_ptr(
-              overloaded(overload_reason::circuit_open));
-          break;
-        }
         if (rec->checkpoint) {
-          record(event::resume, rec->job_class,
-                 static_cast<std::uint32_t>(
-                     rec->checkpoint->aggregate().blocks_complete));
+          mark("resume", rec->job_class, telemetry::counter::jobs_retried);
           ++stats_.resumed;
         } else {
-          record(event::retry, rec->job_class);
+          mark("retry", rec->job_class, telemetry::counter::jobs_retried);
         }
         ++stats_.retries;
       }
       std::this_thread::sleep_for(std::chrono::microseconds(
           memory::jittered_backoff_us(attempt, lim.retry_backoff_us,
-                                      cfg_.seed ^ rec->id)));
+                                      rec->id)));
     }
-    finalize(std::move(rec), success, err);
+    finalize(std::move(rec), std::move(err));
   }
 
   // One attempt of the job under its resource envelope. The service owns
@@ -813,8 +482,7 @@ class pipeline_service {
     try {
       if (rec.checkpoint) {
         // Attempt accounting lives on the checkpoint: one bump per actual
-        // thunk execution (the breaker-open fast path above never gets
-        // here, so it burns no attempt).
+        // thunk execution.
         rec.checkpoint->begin_attempt();
         rec.rthunk(*rec.checkpoint);
       } else {
@@ -864,50 +532,31 @@ class pipeline_service {
     }
   }
 
-  void finalize(std::shared_ptr<detail::job_record> rec, bool success,
+  void finalize(std::shared_ptr<detail::job_record> rec,
                 std::exception_ptr err) {
     job_status st;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      const bool cancelled = !success && drain_cancelled(err);
-      if (success) {
+      if (!err) {
         st = job_status::done;
-        record(event::complete, rec->job_class);
+        mark("complete", rec->job_class, telemetry::counter::jobs_completed);
         ++stats_.completed;
         if (rec->checkpoint) {
           auto p = rec->checkpoint->aggregate();
           stats_.blocks_salvaged += p.salvaged;
           stats_.blocks_redone += p.redone;
-          if (rec->checkpoint->attempts() > 1 || rec->readmitted)
-            ++stats_.completed_after_resume;
+          // Attempts accumulate on the checkpoint, also across services,
+          // so a checkpoint submitted again after a drain counts here.
+          if (rec->checkpoint->attempts() > 1) ++stats_.completed_after_resume;
         }
-      } else if (cancelled) {
+      } else if (drain_cancelled(err)) {
         st = job_status::cancelled;
-        record(event::cancel, rec->job_class);
+        mark("cancel", rec->job_class);
         ++stats_.cancelled;
-        // Preserve the partial progress of a drain-cancelled in-flight
-        // job for readmission into a post-drain service.
-        if (draining_) park_locked(*rec);
       } else {
         st = job_status::failed;
-        record(event::fail, rec->job_class);
+        mark("fail", rec->job_class, telemetry::counter::jobs_failed);
         ++stats_.failed;
-      }
-      if (!cancelled) {
-        // A drain cancellation says nothing about the class's health; it
-        // must not trip (or probe-close) the breaker.
-        auto& brk = breaker_for(rec->job_class);
-        if (brk.on_result(success, rec->probe)) {
-          record(event::trip, rec->job_class);
-          ++stats_.breaker_trips;
-        } else if (rec->probe && success) {
-          record(event::close, rec->job_class);
-        }
-      } else if (rec->probe) {
-        // The cancelled probe will never report on_result; re-open the
-        // breaker (with cooldown credit) instead of stranding the class
-        // half_open with no probe in flight.
-        breaker_for(rec->job_class).abort_probe();
       }
       --running_;
     }
@@ -917,16 +566,10 @@ class pipeline_service {
 
   service_config cfg_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_work_;   // dispatchers: work available / stop
-  std::condition_variable cv_space_;  // block-policy submitters: space freed
-  std::condition_variable cv_idle_;   // drain: backlog finished
-  admission_queue<detail::job_record> queue_;
-  std::deque<parked_job> parked_;
-  std::unordered_map<unsigned, circuit_breaker> breakers_;
+  std::condition_variable cv_work_;  // dispatchers: work available / stop
+  std::condition_variable cv_idle_;  // drain: backlog finished
+  std::deque<std::shared_ptr<detail::job_record>> queue_;
   std::vector<sched::cancel_state*> inflight_;
-  std::deque<trace_entry> trace_;
-  std::uint64_t trace_hash_ = 1469598103934665603ull;  // FNV-1a offset basis
-  std::uint64_t trace_dropped_ = 0;
   service_stats stats_;
   std::vector<std::thread> dispatchers_;
   std::uint64_t next_job_id_ = 0;

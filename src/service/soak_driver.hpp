@@ -1,17 +1,18 @@
-// Closed-loop overload driver for the pipeline service.
+// Closed-loop soak driver for the pipeline service.
 //
 // `producers` threads each submit `jobs_per_producer` delayed-pipeline
 // jobs (class chosen per-job from a seeded splitmix64 stream) and wait
 // for each ticket before submitting the next — a classic closed loop, so
 // offered load is controlled by the producer count, not a rate parameter.
-// Run with more producers than dispatchers (the CI soak uses 2× the
-// queue-feeding capacity) and the admission queue saturates, exercising
-// the backpressure policy, the retry ladder (pair with a budget), and —
-// with a poisoned class — the circuit breaker, all under real threads.
+// Run with more producers than dispatchers and a queue smaller than the
+// producer count (the CI soak uses 8 producers, 2 dispatchers and a 4-slot
+// queue) and the full queue refuses work, the retry ladder runs (pair
+// with a budget), and a poisoned class fails its jobs, all under real
+// threads. Every completed job is checked against a per-class oracle.
 //
 // Results feed bench/service_soak.cpp and `pbdsbench --metrics-overhead`:
 // throughput, shed rate, latency percentiles and oracle mismatches for the
-// json_report.
+// json_report; soak_error() says whether a run is wrong.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -36,10 +38,8 @@ struct soak_config {
   std::size_t jobs_per_producer = 64;
   std::size_t n = std::size_t{1} << 14;  // elements per pipeline
   std::uint64_t seed = 42;
-  int poison_class = -1;            // jobs of this class throw (trips breaker)
-  std::int64_t job_budget_bytes = 0;  // per-job budget_scope (0 = none)
-  long job_deadline_ms = 0;           // per-attempt deadline (0 = none)
-  long drain_deadline_ms = -1;        // -1 = drain the full backlog
+  int poison_class = -1;  // jobs of this class throw (and fail)
+  job_limits job;         // every job's budget, deadline and retry ladder
   bool resumable = false;  // submit checkpointed jobs (block-granular resume)
   service_config service;
 };
@@ -48,10 +48,9 @@ struct soak_result {
   service_stats stats;
   double seconds = 0;  // first submit to drained; the oracle is not timed
   double throughput_jobs_per_s = 0;  // completed jobs per wall second
-  double shed_rate = 0;  // (rejected + shed + cancelled) / submitted
+  double shed_rate = 0;  // (rejected + cancelled) / submitted
   double p50_ms = 0;     // completed-job latency percentiles
   double p99_ms = 0;
-  std::uint64_t trace_hash = 0;
   // Completed jobs whose result differs from the per-class oracle: a
   // resumed or retried job that did not finish bit-identical (must be 0).
   std::uint64_t result_mismatches = 0;
@@ -107,11 +106,11 @@ inline std::uint64_t soak_pipeline(unsigned job_class, std::size_t n) {
 
 // Checkpointed twin of soak_pipeline: the same four pipeline shapes with
 // their blockwise terminal passes routed through recovery:: ops bound to
-// stable slots of the job's checkpoint, so a retried or readmitted job
-// redoes only the blocks its failed attempts never finished. Eager
-// pipeline *construction* (class 1's filter pack, class 3's flatten) is
-// rebuilt per attempt — recovery is block-granular over the checkpointed
-// passes, not a full continuation snapshot.
+// stable slots of the job's checkpoint, so a retried job redoes only the
+// blocks its failed attempts never finished. Eager pipeline
+// *construction* (class 1's filter pack, class 3's flatten) is rebuilt
+// per attempt — recovery is block-granular over the checkpointed passes,
+// not a full continuation snapshot.
 inline std::uint64_t soak_pipeline_resumable(unsigned job_class,
                                              std::size_t n,
                                              recovery::job_checkpoint& ck) {
@@ -195,9 +194,6 @@ inline soak_result run_soak(soak_config cfg) {
         const bool poisoned =
             cfg.poison_class >= 0 &&
             cls == static_cast<unsigned>(cfg.poison_class);
-        job_limits lim;
-        lim.budget_bytes = cfg.job_budget_bytes;
-        lim.deadline_ms = cfg.job_deadline_ms;
         const auto start = std::chrono::steady_clock::now();
         // Written by whichever attempt runs last; read only once the
         // ticket reports done (the ticket's mutex orders the two). An
@@ -215,7 +211,7 @@ inline soak_result run_soak(soak_config cfg) {
                     throw std::runtime_error("soak: poisoned job class");
                   got = soak_pipeline_resumable(cls, n, ck);
                 },
-                lim);
+                cfg.job);
           } else {
             ticket = svc.submit(
                 cls,
@@ -224,7 +220,7 @@ inline soak_result run_soak(soak_config cfg) {
                     throw std::runtime_error("soak: poisoned job class");
                   got = soak_pipeline(cls, n);
                 },
-                lim);
+                cfg.job);
           }
           ticket.wait();
           if (ticket.status() == job_status::done) {
@@ -244,7 +240,7 @@ inline soak_result run_soak(soak_config cfg) {
     });
   }
   for (auto& t : producers) t.join();
-  svc.drain(cfg.drain_deadline_ms);
+  svc.drain();
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
@@ -260,15 +256,13 @@ inline soak_result run_soak(soak_config cfg) {
   for (const auto& [cls, got] : results)
     if (got != expected[cls]) ++r.result_mismatches;
   r.stats = svc.stats();
-  r.trace_hash = svc.trace_hash();
   r.seconds = seconds;
   r.throughput_jobs_per_s =
       seconds > 0 ? static_cast<double>(r.stats.completed) / seconds : 0;
   r.shed_rate =
       r.stats.submitted == 0
           ? 0
-          : static_cast<double>(r.stats.rejected + r.stats.shed +
-                                r.stats.cancelled) /
+          : static_cast<double>(r.stats.rejected + r.stats.cancelled) /
                 static_cast<double>(r.stats.submitted);
   if (!latencies_ms.empty()) {
     std::sort(latencies_ms.begin(), latencies_ms.end());
@@ -284,6 +278,23 @@ inline soak_result run_soak(soak_config cfg) {
   // service/scheduler recorded during the soak (the CI artifact).
   telemetry::flush_trace_from_env();
   return r;
+}
+
+// Empty when a soak run is right; otherwise what is wrong with it. A run
+// is right when every completed job matched the per-class oracle and
+// every submission reached exactly one outcome.
+inline std::string soak_error(const soak_result& r) {
+  const service_stats& s = r.stats;
+  if (r.result_mismatches > 0)
+    return std::to_string(r.result_mismatches) +
+           " completed jobs differ from the oracle";
+  const std::uint64_t outcomes =
+      s.completed + s.failed + s.rejected + s.cancelled;
+  if (outcomes != s.submitted)
+    return std::to_string(outcomes) + " outcomes (completed + failed + "
+           "rejected + cancelled) for " + std::to_string(s.submitted) +
+           " submissions";
+  return {};
 }
 
 }  // namespace pbds::service

@@ -2,13 +2,11 @@
 //
 // The runtime's robustness layers (checkpoint/resume, the watchdog, the
 // pipeline service) each kept private counters; this header is the one
-// place they all surface. Three primitives:
+// place they all surface. Two primitives:
 //
 //   counters    — process-monotonic u64 event counts (forks, steals,
 //                 refusals, stalls, ...), recorded with one relaxed
 //                 fetch_add on a thread-private shard;
-//   per-class counters — the same, keyed by service job class (admit /
-//                 shed / retry / breaker transitions per class);
 //   histograms  — fixed power-of-two bucket latency/size distributions
 //                 (bucket = bit_width(value), 64 buckets, no allocation,
 //                 no clamping error beyond the 2x bucket granularity),
@@ -64,15 +62,12 @@ enum class counter : unsigned {
   // recovery
   blocks_salvaged,
   blocks_redone,
-  // service (global; per-class breakdown below)
+  // service
   jobs_admitted,
   jobs_shed,
   jobs_retried,
   jobs_completed,
   jobs_failed,
-  breaker_trips,
-  breaker_probes,
-  breaker_closes,
   kCount,
 };
 inline constexpr std::size_t kNumCounters =
@@ -85,28 +80,6 @@ inline constexpr std::size_t kNumCounters =
       "budget_refusals", "budget_retries", "blocks_salvaged",
       "blocks_redone",   "jobs_admitted",  "jobs_shed",
       "jobs_retried",    "jobs_completed", "jobs_failed",
-      "breaker_trips",   "breaker_probes", "breaker_closes",
-  };
-  return kNames[static_cast<std::size_t>(c)];
-}
-
-enum class class_counter : unsigned {
-  admitted,
-  shed,
-  retried,
-  breaker_trips,
-  kCount,
-};
-inline constexpr std::size_t kNumClassCounters =
-    static_cast<std::size_t>(class_counter::kCount);
-inline constexpr std::size_t kMaxClasses = 8;  // classes >= 8 fold into 7
-
-[[nodiscard]] inline const char* class_counter_name(class_counter c) {
-  static constexpr const char* kNames[kNumClassCounters] = {
-      "admitted",
-      "shed",
-      "retried",
-      "breaker_trips",
   };
   return kNames[static_cast<std::size_t>(c)];
 }
@@ -195,7 +168,6 @@ inline constexpr std::size_t kShards = 32;
 
 struct alignas(64) shard {
   std::atomic<std::uint64_t> counters[kNumCounters];
-  std::atomic<std::uint64_t> class_counters[kMaxClasses][kNumClassCounters];
   std::atomic<std::uint64_t> hists[kNumHists][kHistBuckets];
 };
 
@@ -233,16 +205,6 @@ inline void count(counter c, std::uint64_t n = 1) {
   if (!metrics_enabled()) return;
   detail::shard_of_thread().counters[static_cast<std::size_t>(c)].fetch_add(
       n, std::memory_order_relaxed);
-}
-
-inline void count_class(class_counter c, unsigned job_class,
-                        std::uint64_t n = 1) {
-  if constexpr (!metrics_compiled_in) return;
-  if (!metrics_enabled()) return;
-  std::size_t cls = job_class < kMaxClasses ? job_class : kMaxClasses - 1;
-  detail::shard_of_thread()
-      .class_counters[cls][static_cast<std::size_t>(c)]
-      .fetch_add(n, std::memory_order_relaxed);
 }
 
 inline void observe(hist h, std::uint64_t value) {
@@ -294,17 +256,11 @@ struct histogram_snapshot {
 
 struct metrics_snapshot {
   std::array<std::uint64_t, kNumCounters> counters{};
-  std::array<std::array<std::uint64_t, kNumClassCounters>, kMaxClasses>
-      class_counters{};
   std::array<histogram_snapshot, kNumHists> hists{};
   std::int64_t bytes_live_peak = 0;
 
   [[nodiscard]] std::uint64_t get(counter c) const {
     return counters[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] std::uint64_t get(class_counter c, unsigned job_class) const {
-    std::size_t cls = job_class < kMaxClasses ? job_class : kMaxClasses - 1;
-    return class_counters[cls][static_cast<std::size_t>(c)];
   }
   [[nodiscard]] const histogram_snapshot& get(hist h) const {
     return hists[static_cast<std::size_t>(h)];
@@ -320,10 +276,6 @@ struct metrics_snapshot {
   for (const auto& s : r.shards) {
     for (std::size_t c = 0; c < kNumCounters; ++c)
       out.counters[c] += s.counters[c].load(std::memory_order_relaxed);
-    for (std::size_t cls = 0; cls < kMaxClasses; ++cls)
-      for (std::size_t c = 0; c < kNumClassCounters; ++c)
-        out.class_counters[cls][c] +=
-            s.class_counters[cls][c].load(std::memory_order_relaxed);
     for (std::size_t h = 0; h < kNumHists; ++h)
       for (std::size_t b = 0; b < kHistBuckets; ++b)
         out.hists[h].buckets[b] +=
@@ -346,9 +298,6 @@ inline void reset() {
   for (auto& s : r.shards) {
     for (std::size_t c = 0; c < kNumCounters; ++c)
       s.counters[c].store(0, std::memory_order_relaxed);
-    for (std::size_t cls = 0; cls < kMaxClasses; ++cls)
-      for (std::size_t c = 0; c < kNumClassCounters; ++c)
-        s.class_counters[cls][c].store(0, std::memory_order_relaxed);
     for (std::size_t h = 0; h < kNumHists; ++h)
       for (std::size_t b = 0; b < kHistBuckets; ++b)
         s.hists[h][b].store(0, std::memory_order_relaxed);

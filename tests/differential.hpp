@@ -48,8 +48,8 @@ namespace pbds::testing {
 
 // --- hostile-env isolation (PR 10) ------------------------------------------
 
-// CI exports PBDS_* knobs (an ambient budget, watchdog cadence, service
-// pressure) around entire ctest runs; suites that inject their own budgets
+// CI exports PBDS_* knobs (an ambient budget, watchdog cadence, pool
+// size) around entire ctest runs; suites that inject their own budgets
 // and faults must not have their semantics silently rewritten by that
 // ambient environment. scoped_env snapshots every PBDS_* variable, unsets
 // the behavioral ones, and re-reads each first-touch env cache so the
