@@ -228,7 +228,8 @@ template <typename SizeFn>
 }
 
 // a.filter — blocked two-phase filter (§2.2): pack survivors within each
-// block, then flatten the packed blocks into a contiguous output array.
+// block (stream::pack over the block's memory), then flatten the packed
+// blocks into a contiguous output array.
 template <typename P, typename T>
 [[nodiscard]] parray<T> filter(const P& p, const parray<T>& a) {
   std::size_t n = a.size();
@@ -240,10 +241,9 @@ template <typename P, typename T>
       nb,
       [&](std::size_t j) {
         std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
         buffer out;
-        for (std::size_t i = lo; i < hi; ++i)
-          if (p(src[i])) out.push_back(src[i]);
+        stream::pack(stream::pointer_stream<T>{src + lo},
+                     lo + blk < n ? blk : n - lo, p, out);
         return out;
       },
       1);
@@ -266,10 +266,9 @@ template <typename F, typename T>
       nb,
       [&](std::size_t j) {
         std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
         buffer out;
-        for (std::size_t i = lo; i < hi; ++i)
-          if (auto r = f(src[i])) out.push_back(std::move(*r));
+        stream::pack_op(stream::pointer_stream<T>{src + lo},
+                        lo + blk < n ? blk : n - lo, f, out);
         return out;
       },
       1);

@@ -57,7 +57,7 @@ class parray {
   // default-constructed as a placeholder AND either the allocation fault
   // injector is armed or T has a real destructor: a throw from f or from
   // T's constructor — e.g. an injected bad_alloc while a filter block
-  // grows its pack buffer — is captured inside the loop body (it must not
+  // allocates its pack buffer — is captured inside the loop body (it must not
   // unwind through a fork), the slot is default-constructed so every
   // element has a destructible value, and the first exception is rethrown
   // on the calling thread after the join. The returned-by-exception parray

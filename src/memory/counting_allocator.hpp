@@ -1,8 +1,10 @@
 // std-compatible allocator that reports through pbds::memory's counters.
 //
-// Used for the dynamically-resizing pack buffers inside filter
-// (s.packToArray in the paper, Fig. 8), so that even transient grow/copy
-// allocations show up in the space accounting.
+// Used for filter's per-block pack buffers (s.packToArray in the paper,
+// Fig. 8), so that they show up in the space accounting. stream::pack
+// stages a block's survivors on the stack and allocates the buffer once,
+// at the survivor count (a block longer than the stage grows it once per
+// chunk).
 #pragma once
 
 #include <cstddef>
@@ -43,7 +45,7 @@ class counting_allocator {
   }
 };
 
-// Dynamically-resizing buffer whose allocations are space-accounted.
+// std::vector whose allocations are space-accounted.
 template <typename T>
 using tracked_vector = std::vector<T, counting_allocator<T>>;
 

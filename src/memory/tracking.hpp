@@ -13,7 +13,8 @@
 //   num_allocs     — number of allocation events
 //
 // Counters are process-global atomics; allocations in this codebase happen
-// per *block*, not per element, so contention is negligible.
+// per *block*, not per element (a filter block's pack buffer is one
+// allocation of exactly its survivors), so contention is negligible.
 // An allocation *fault injector* rides on the same choke point: every
 // tracked allocation first calls maybe_inject_alloc_fault(), which can be
 // armed (scoped_alloc_faults) to throw std::bad_alloc on the Nth

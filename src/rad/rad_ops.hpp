@@ -20,6 +20,7 @@
 #include "array/array_ops.hpp"
 #include "array/parray.hpp"
 #include "core/block.hpp"
+#include "core/delayed.hpp"
 #include "core/rad.hpp"
 #include "memory/counting_allocator.hpp"
 #include "sched/parallel.hpp"
@@ -258,25 +259,18 @@ template <typename Pieces>
 }
 }  // namespace detail
 
-// filter: blocked pack (input fused) + eager concatenation of survivors.
+// filter: blocked pack (input fused: each block is the stream the full
+// library's bid_of reads the RAD through) + eager concatenation of
+// survivors.
 template <typename P, typename Seq>
 [[nodiscard]] auto filter(const P& p, const Seq& s) {
-  auto r = as_seq(s);
-  using T = typename decltype(r)::value_type;
-  std::size_t n = r.n;
-  std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
-  using buffer = memory::tracked_vector<T>;
+  auto bd = delayed::bid_of(as_seq(s));
+  using buffer = memory::tracked_vector<typename decltype(bd)::value_type>;
   auto packed = parray<buffer>::tabulate(
-      nb,
+      bd.num_blocks(),
       [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
         buffer out;
-        for (std::size_t i = lo; i < hi; ++i) {
-          auto x = r[i];
-          if (p(x)) out.push_back(std::move(x));
-        }
+        stream::pack(bd.block(j), bd.block_length(j), p, out);
         return out;
       },
       1);
@@ -285,22 +279,15 @@ template <typename P, typename Seq>
 
 template <typename F, typename Seq>
 [[nodiscard]] auto filter_op(const F& f, const Seq& s) {
-  auto r = as_seq(s);
-  using T = typename decltype(r)::value_type;
+  auto bd = delayed::bid_of(as_seq(s));
+  using T = typename decltype(bd)::value_type;
   using U = typename std::invoke_result_t<const F&, T>::value_type;
-  std::size_t n = r.n;
-  std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
   using buffer = memory::tracked_vector<U>;
   auto packed = parray<buffer>::tabulate(
-      nb,
+      bd.num_blocks(),
       [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
         buffer out;
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (auto v = f(r[i])) out.push_back(std::move(*v));
-        }
+        stream::pack_op(bd.block(j), bd.block_length(j), f, out);
         return out;
       },
       1);

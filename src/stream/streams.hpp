@@ -49,8 +49,10 @@
 // per-element evaluation order they were written for.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <optional>
@@ -145,16 +147,23 @@ inline constexpr bool staging_wins_v = requires {
 
 // --- stack staging buffer ----------------------------------------------------
 
-// Fixed-size buffer of uninitialized T slots used by bulk paths to stage
-// source elements; sized in bytes so a chunk always fits comfortably on
-// the stack regardless of the configured block size.
+// Fixed-size buffer of uninitialized T slots on the stack, not space-
+// accounted; sized in bytes so a chunk always fits comfortably on the
+// stack regardless of the configured block size. It destroys nothing:
+// bulk paths stage only trivially copyable source elements in it
+// (kStageBytes), and pack destroys the survivors it stages
+// (kPackStageBytes).
 inline constexpr std::size_t kStageBytes = 4096;
 
-template <typename T>
+// Size of pack's survivor stage: the survivors of one input chunk. 32 KiB
+// holds a default 2048-element block of elements up to 16 bytes, so such
+// a block packs as one chunk.
+inline constexpr std::size_t kPackStageBytes = 32768;
+
+template <typename T, std::size_t Bytes = kStageBytes>
 struct stage_buffer {
-  static_assert(stageable_v<T>);
   static constexpr std::size_t capacity =
-      kStageBytes / sizeof(T) == 0 ? 1 : kStageBytes / sizeof(T);
+      Bytes / sizeof(T) == 0 ? 1 : Bytes / sizeof(T);
 
   alignas(T) unsigned char raw[capacity * sizeof(T)];
 
@@ -519,76 +528,114 @@ void apply(S s, std::size_t n, const G& g) {
   for (std::size_t k = 0; k < n; ++k) g(s.next());
 }
 
-// s.packToArray: keep elements satisfying p, appending to a
-// dynamically-resizing space-accounted buffer. Bulk path: stage source
-// chunks and run the predicate over raw pointers; survivors are appended
-// in the same order with the same growth sequence as the fallback, so the
-// bytes-accounting is identical (the oracle checks this).
-template <typename S, typename P>
-void pack(S s, std::size_t n,
-          const P& p,
-          memory::tracked_vector<typename S::value_type>& out) {
+// --- pack (s.packToArray) -------------------------------------------------
+
+namespace detail {
+
+// Destroys the staged survivors [first, last) when the chunk ends, also
+// on unwind; they are moved-from by then unless something threw.
+template <typename U>
+struct staged_range {
+  U* first;
+  U*& last;
+  ~staged_range() { std::destroy(first, last); }
+};
+
+// The one pack loop (filter and filter_op in A, R and Ours). The block is
+// consumed in chunks of at most the stage's capacity: keep(x, dst)
+// constructs x's survivor at dst and returns true, or returns false, and
+// each chunk's survivors are then moved to the end of out. A block that
+// fits one chunk therefore allocates once, exactly its survivor count,
+// and a block with no survivors not at all; later chunks grow out at
+// least geometrically. The stream and the write cursor stay locals of
+// the loop. Source access follows reduce: raw pointer reads for a
+// contiguous block, staged input runs for a data-movement source, next()
+// otherwise and whenever the bulk gate is off. keep sees the elements in
+// the same order, once each, and out makes the same allocations on every
+// path (the fast-vs-generic oracle checks both).
+template <typename S, typename U, typename Keep>
+void pack_into(S s, std::size_t n, const Keep& keep,
+               memory::tracked_vector<U>& out) {
   using T = typename S::value_type;
-  if constexpr (is_pointer_stream_v<S> && stageable_v<T>) {
-    if (bulk_enabled()) {
-      const T* in = s.p;
-      for (std::size_t k = 0; k < n; ++k)
-        if (p(in[k])) out.push_back(in[k]);
-      return;
-    }
-  } else if constexpr (bulk_source<S> && stageable_v<T> &&
-                       direct_bulk_v<S>) {
-    if (bulk_enabled()) {
-      stage_buffer<T> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const T* in = buf.data();
+  stage_buffer<U, kPackStageBytes> stage;
+  U* const first = stage.data();
+  [[maybe_unused]] const bool bulk = bulk_enabled();
+  while (n > 0) {
+    const std::size_t c = n < stage.capacity ? n : stage.capacity;
+    U* cur = first;
+    staged_range<U> staged{first, cur};
+    bool pulled = false;
+    if constexpr (is_pointer_stream_v<S>) {
+      if (bulk) {
+        const T* in = s.p;
         for (std::size_t k = 0; k < c; ++k)
-          if (p(in[k])) out.push_back(in[k]);
-        n -= c;
+          if (keep(in[k], cur)) ++cur;
+        s.p += c;
+        pulled = true;
       }
-      return;
+    } else if constexpr (bulk_source<S> && stageable_v<T> &&
+                         direct_bulk_v<S>) {
+      if (bulk) {
+        stage_buffer<T> buf;
+        for (std::size_t left = c; left > 0;) {
+          std::size_t r = left < buf.capacity ? left : buf.capacity;
+          s.next_n(buf.data(), r);
+          const T* in = buf.data();
+          for (std::size_t k = 0; k < r; ++k)
+            if (keep(in[k], cur)) ++cur;
+          left -= r;
+        }
+        pulled = true;
+      }
     }
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    auto x = s.next();
-    if (p(x)) out.push_back(std::move(x));
+    if (!pulled)
+      for (std::size_t k = 0; k < c; ++k)
+        if (keep(s.next(), cur)) ++cur;
+    if (cur != first) {
+      const auto kept = static_cast<std::size_t>(cur - first);
+      if (out.capacity() - out.size() < kept)
+        out.reserve(out.empty() ? kept
+                                : std::max(out.size() + kept,
+                                           2 * out.size()));
+      out.insert(out.end(), std::make_move_iterator(first),
+                 std::make_move_iterator(cur));
+    }
+    n -= c;
   }
 }
 
-// packToArray for filterOp / mapMaybe: f returns std::optional<U>; keep
-// the unwrapped values. f runs exactly once per element in both paths
-// (filter_op's predicates may be effectful — BFS's compare-and-swap).
+}  // namespace detail
+
+// s.packToArray: append the elements of s that satisfy p to out.
+template <typename S, typename P>
+void pack(S s, std::size_t n, const P& p,
+          memory::tracked_vector<typename S::value_type>& out) {
+  using T = typename S::value_type;
+  detail::pack_into(
+      std::move(s), n,
+      [&p](auto&& x, T* dst) {
+        if (!p(x)) return false;
+        ::new (static_cast<void*>(dst)) T(std::forward<decltype(x)>(x));
+        return true;
+      },
+      out);
+}
+
+// packToArray for filterOp / mapMaybe: f returns std::optional<U>; append
+// the engaged values to out. f runs exactly once per element (filter_op's
+// predicates may be effectful — BFS's compare-and-swap).
 template <typename S, typename F, typename U>
 void pack_op(S s, std::size_t n, const F& f,
              memory::tracked_vector<U>& out) {
-  using T = typename S::value_type;
-  if constexpr (is_pointer_stream_v<S> && stageable_v<T>) {
-    if (bulk_enabled()) {
-      const T* in = s.p;
-      for (std::size_t k = 0; k < n; ++k)
-        if (auto r = f(in[k])) out.push_back(std::move(*r));
-      return;
-    }
-  } else if constexpr (bulk_source<S> && stageable_v<T> &&
-                       direct_bulk_v<S>) {
-    if (bulk_enabled()) {
-      stage_buffer<T> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const T* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k)
-          if (auto r = f(in[k])) out.push_back(std::move(*r));
-        n -= c;
-      }
-      return;
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    if (auto r = f(s.next())) out.push_back(std::move(*r));
-  }
+  detail::pack_into(
+      std::move(s), n,
+      [&f](auto&& x, U* dst) {
+        auto r = f(std::forward<decltype(x)>(x));
+        if (!r) return false;
+        ::new (static_cast<void*>(dst)) U(std::move(*r));
+        return true;
+      },
+      out);
 }
 
 }  // namespace pbds::stream

@@ -258,7 +258,8 @@ inline void expect_space_invariant(const diff_case& c,
 //     deterministic (seed sweep), and real-pool execution;
 //   * byte-exact allocation accounting sequentially — the bulk loops may
 //     stage elements on the stack but must trigger the exact same tracked
-//     allocations (e.g. filter's push_back growth sequence);
+//     allocations (e.g. filter's one pack buffer per block, sized to
+//     the survivors);
 //   * arming the allocation fault injector must itself force the fallback
 //     (bulk_enabled() == false), so the exception-tolerance paths only
 //     ever see the per-element evaluation order they were written for.

@@ -12,6 +12,7 @@
 #include "cost/cost.hpp"
 #include "cost/rw_model.hpp"
 #include "memory/tracking.hpp"
+#include "sched/exec_policy.hpp"
 
 namespace {
 
@@ -79,6 +80,36 @@ TEST(CostModel, FilterAllocatesSurvivorsPlusBlocks) {
   EXPECT_EQ(y.r, c::repr::bid);
   // |Y| + |X|/B = 17 + 100 plus O(1) noise, not 3200.
   EXPECT_LE(m.total().alloc, 17.0 + 100.0 + 5.0);
+}
+
+TEST(CostModel, FilterSurvivorBytesMatchModel) {
+  // filter's |Y| term is exact: a block's survivors are packed into one
+  // buffer of exactly their count, so what filter allocates beyond the
+  // same filter keeping nothing is |Y| elements, to the byte.
+  pbds::sched::scoped_sequential seq;
+  scoped_block_size guard(32);
+  const std::size_t n = 3200;
+  auto model_alloc = [n](std::size_t m_out) {
+    c::cost_meter m;
+    auto x = c::tabulate(m, n);
+    c::filter(m, x, m_out);
+    return m.total().alloc;
+  };
+  const double model_y = model_alloc(17) - model_alloc(0);
+  EXPECT_EQ(model_y, 17.0);
+  // Survivors 1000..1016 all lie in block 31 (992..1023).
+  auto measured_bytes = [n](std::int64_t keep) {
+    auto t = pbds::delayed::tabulate(
+        n, [](std::size_t i) { return static_cast<std::int64_t>(i); });
+    pbds::memory::space_meter meter;
+    auto y = pbds::delayed::filter(
+        [keep](std::int64_t x) { return x >= 1000 && x < 1000 + keep; }, t);
+    EXPECT_EQ(y.size(), static_cast<std::size_t>(keep));
+    return meter.allocated_bytes();
+  };
+  EXPECT_EQ(measured_bytes(17) - measured_bytes(0),
+            static_cast<std::int64_t>(model_y) *
+                static_cast<std::int64_t>(sizeof(std::int64_t)));
 }
 
 TEST(CostModel, FusedBestcutPipelineAllocatesOnlyBlocks) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -393,6 +394,89 @@ TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeRealPool) {
   sweep_boxed(boxed_reduce, "reduce");
   sweep_boxed(boxed_scan, "scan");
   sweep_boxed(boxed_scan_inclusive, "scan_inclusive");
+}
+
+// --- a predicate that throws with survivors staged ----------------------------
+//
+// filter and filter_op stage a block's survivors on the stack before they
+// move into the block's buffer. A predicate that throws part-way through
+// a block must destroy what is staged: with `boxed` elements (each holds
+// a tracked allocation and counts its live instances) the exception
+// reaches the caller once, and the live count and bytes_live return to
+// their baselines, in A, R and Ours.
+struct predicate_threw {};
+
+constexpr std::size_t kStagedBlk = 256;
+constexpr std::size_t kStagedN = 8 * kStagedBlk;
+
+// Keeps the even values; throws at offset 200 of every odd block, when
+// 100 of that block's survivors are staged.
+bool keep_or_throw(const boxed& x) {
+  auto i = static_cast<std::size_t>(x.get());
+  if (i % kStagedBlk == 200 && (i / kStagedBlk) % 2 == 1)
+    throw predicate_threw{};
+  return i % 2 == 0;
+}
+
+std::optional<boxed> keep_or_throw_op(const boxed& x) {
+  if (!keep_or_throw(x)) return std::nullopt;
+  return x;
+}
+
+template <typename P>
+void throwing_predicate_leaks_nothing() {
+  scoped_block_size bs(kStagedBlk);
+  auto input = parray<boxed>::tabulate(kStagedN, [](std::size_t i) {
+    return boxed(static_cast<std::int64_t>(i));
+  });
+  const long live0 = boxed::live().load();
+  const std::int64_t bytes0 = memory::bytes_live();
+  auto expect_throws_once = [&](const char* what, auto run) {
+    int caught = 0;
+    try {
+      run();
+    } catch (const predicate_threw&) {
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1) << P::name << " " << what;
+    EXPECT_EQ(boxed::live().load(), live0) << P::name << " " << what;
+    EXPECT_EQ(memory::bytes_live(), bytes0) << P::name << " " << what;
+  };
+  // A copying map puts the element evaluation in the block stream (R and
+  // Ours) instead of a read of the input.
+  auto copy = [](const boxed& x) { return boxed(x.get()); };
+  expect_throws_once("filter", [&] {
+    (void)P::filter(keep_or_throw, P::view(input));
+  });
+  expect_throws_once("filter_op", [&] {
+    (void)P::filter_op(keep_or_throw_op, P::view(input));
+  });
+  expect_throws_once("filter of map", [&] {
+    (void)P::filter(keep_or_throw, P::map(copy, P::view(input)));
+  });
+  expect_throws_once("filter_op of map", [&] {
+    (void)P::filter_op(keep_or_throw_op, P::map(copy, P::view(input)));
+  });
+  // The pool is reusable and a clean filter keeps every even element.
+  auto evens = P::to_array(P::filter(
+      [](const boxed& x) { return x.get() % 2 == 0; }, P::view(input)));
+  ASSERT_EQ(evens.size(), kStagedN / 2);
+  for (std::size_t k = 0; k < evens.size(); ++k)
+    ASSERT_EQ(evens[k].get(), static_cast<std::int64_t>(2 * k));
+}
+
+TEST(FaultInjection, ThrowingPredicateDestroysStagedSurvivorsSequential) {
+  sched::scoped_sequential seq;
+  throwing_predicate_leaks_nothing<array_policy>();
+  throwing_predicate_leaks_nothing<rad_policy>();
+  throwing_predicate_leaks_nothing<delay_policy>();
+}
+
+TEST(FaultInjection, ThrowingPredicateDestroysStagedSurvivorsRealPool) {
+  ASSERT_EQ(sched::current_exec_mode(), sched::exec_mode::parallel);
+  throwing_predicate_leaks_nothing<array_policy>();
+  throwing_predicate_leaks_nothing<rad_policy>();
+  throwing_predicate_leaks_nothing<delay_policy>();
 }
 
 // Budget admission runs the fault injector first: with both active, an

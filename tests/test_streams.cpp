@@ -5,8 +5,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "memory/tracking.hpp"
 #include "stream/streams.hpp"
 
 namespace {
@@ -150,6 +153,110 @@ TEST(Streams, MoveOnlyValuesFlowThroughPack) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(*out[0], 3);
   EXPECT_EQ(*out[1], 4);
+}
+
+// --- exact-size packing ---------------------------------------------------
+
+// Element i of a test block, and the index it was made from.
+template <typename T>
+T make_elem(std::size_t i) {
+  if constexpr (std::is_same_v<T, std::unique_ptr<int>>)
+    return std::make_unique<int>(static_cast<int>(i));
+  else if constexpr (std::is_same_v<T, std::int64_t>)
+    return static_cast<std::int64_t>(i);
+  else
+    return T(static_cast<std::uint8_t>(i), static_cast<std::uint32_t>(i));
+}
+
+std::size_t index_of(const std::unique_ptr<int>& x) {
+  return static_cast<std::size_t>(*x);
+}
+std::size_t index_of(std::int64_t x) { return static_cast<std::size_t>(x); }
+std::size_t index_of(const std::pair<std::uint8_t, std::uint32_t>& x) {
+  return x.second;
+}
+
+// i * 37 permutes 0..2047 modulo 2048, so exactly 1000 of every 2048
+// consecutive indices survive.
+bool survives(std::size_t i) { return (i * 37) % 2048 < 1000; }
+
+// Packs n elements of a tabulated block (and, for copyable T, of the same
+// block read from memory, with the bulk gate on and off) through both
+// pack and pack_op, checking the survivors against the expected indices
+// and the block's allocations against `check`.
+template <typename T, typename Check>
+void pack_every_way(std::size_t n, bool (*keep)(std::size_t),
+                    const Check& check) {
+  std::vector<std::size_t> want;
+  for (std::size_t i = 0; i < n; ++i)
+    if (keep(i)) want.push_back(i);
+  auto pred = [keep](const T& x) { return keep(index_of(x)); };
+  auto op = [keep](auto&& x) -> std::optional<T> {
+    if (!keep(index_of(x))) return std::nullopt;
+    return std::optional<T>(std::forward<decltype(x)>(x));
+  };
+  auto run = [&](const char* how, auto s) {
+    SCOPED_TRACE(how);
+    for (int use_op = 0; use_op < 2; ++use_op) {
+      SCOPED_TRACE(use_op ? "pack_op" : "pack");
+      std::int64_t live = pbds::memory::bytes_live();
+      {
+        pbds::memory::tracked_vector<T> out;
+        pbds::memory::space_meter m;
+        if (use_op)
+          st::pack_op(s, n, op, out);
+        else
+          st::pack(s, n, pred, out);
+        check(m);
+        ASSERT_EQ(out.size(), want.size());
+        for (std::size_t k = 0; k < want.size(); ++k)
+          ASSERT_EQ(index_of(out[k]), want[k]) << "survivor " << k;
+      }
+      EXPECT_EQ(pbds::memory::bytes_live(), live);
+    }
+  };
+  run("tabulate_stream",
+      st::tabulate_stream{[](std::size_t i) { return make_elem<T>(i); },
+                          std::size_t{0}});
+  if constexpr (std::is_copy_constructible_v<T>) {
+    std::vector<T> mem;
+    for (std::size_t i = 0; i < n; ++i) mem.push_back(make_elem<T>(i));
+    run("pointer_stream", st::pointer_stream<T>{mem.data()});
+    st::scoped_bulk_disable off;
+    run("pointer_stream, bulk off", st::pointer_stream<T>{mem.data()});
+  }
+}
+
+template <typename T>
+void pack_allocates_once_per_block() {
+  SCOPED_TRACE(sizeof(T));
+  // One 2048-element block: exactly one allocation of exactly the 1000
+  // survivors, not a doubling sequence.
+  pack_every_way<T>(2048, survives,
+                    [](const pbds::memory::space_meter& m) {
+                      EXPECT_EQ(m.alloc_count(), 1);
+                      EXPECT_EQ(m.allocated_bytes(),
+                                static_cast<std::int64_t>(1000 * sizeof(T)));
+                    });
+  // No survivors, no allocation.
+  pack_every_way<T>(
+      2048, [](std::size_t) { return false; },
+      [](const pbds::memory::space_meter& m) {
+        EXPECT_EQ(m.alloc_count(), 0);
+        EXPECT_EQ(m.allocated_bytes(), 0);
+      });
+  // A block many times the stage: every survivor, in order, and
+  // everything freed (checked by pack_every_way).
+  pack_every_way<T>(std::size_t{1} << 16, survives,
+                    [](const pbds::memory::space_meter& m) {
+                      EXPECT_GE(m.alloc_count(), 1);
+                    });
+}
+
+TEST(Streams, PackAllocatesOncePerBlock) {
+  pack_allocates_once_per_block<std::int64_t>();
+  pack_allocates_once_per_block<std::pair<std::uint8_t, std::uint32_t>>();
+  pack_allocates_once_per_block<std::unique_ptr<int>>();
 }
 
 }  // namespace
