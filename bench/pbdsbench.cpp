@@ -39,8 +39,8 @@
 #include "benchmarks/spmv.hpp"
 #include "benchmarks/tokens.hpp"
 #include "benchmarks/wc.hpp"
-#include "service/soak_driver.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace {
 
@@ -318,11 +318,11 @@ cli parse_cli(int argc, char** argv) {
           "          [--retries N] [--metrics] [--metrics-overhead]\n"
           "          [--baseline REPORT.json] [--threshold X]\n"
           "          [--bytes-threshold X] [--inject-slowdown F]\n"
-          "--metrics dumps the telemetry registry (counters + latency\n"
-          "percentiles) after the run, into the --json extras when set\n"
+          "--metrics dumps the telemetry registry (counters and the\n"
+          "bytes-live peak) after the run, into the --json extras when set\n"
           "--metrics-overhead A/Bs the metrics-recording cost (registry\n"
-          "on vs off) on a fused-reduce and a service-soak kernel and\n"
-          "records overhead_ratio (CI gates it at 1.05)\n"
+          "on vs off) on a fused-reduce kernel and records\n"
+          "overhead_ratio (CI gates it at 1.05)\n"
           "--baseline replays every ok row of a committed --json report at\n"
           "its recorded n and exits 1 if any fresh median exceeds\n"
           "baseline*(1+--threshold) or allocated bytes exceed\n"
@@ -428,8 +428,8 @@ int run_baseline_mode(const cli& c) {
 
 // --- telemetry dump (--metrics) ------------------------------------------------
 
-// Print every non-zero registry counter plus the latency-histogram
-// percentiles, and (when a --json report is open) append one
+// Print every non-zero registry counter and the bytes-live peak, and
+// (when a --json report is open) append one
 // "telemetry" row whose extras carry the full counter set — the CI
 // artifact a dashboard can scrape without parsing stdout.
 void dump_metrics(json_report* report) {
@@ -444,25 +444,6 @@ void dump_metrics(json_report* report) {
                   static_cast<unsigned long long>(v));
     extra.emplace_back(std::string("metrics.") + telemetry::counter_name(cnt),
                        static_cast<double>(v));
-  }
-  for (std::size_t i = 0; i < telemetry::kNumHists; ++i) {
-    auto h = static_cast<telemetry::hist>(i);
-    const auto& hs = snap.get(h);
-    if (hs.total != 0)
-      std::printf("%-22s n=%llu p50<=%llu p99<=%llu\n",
-                  telemetry::hist_name(h),
-                  static_cast<unsigned long long>(hs.total),
-                  static_cast<unsigned long long>(hs.p50()),
-                  static_cast<unsigned long long>(hs.p99()));
-    extra.emplace_back(std::string("metrics.") + telemetry::hist_name(h) +
-                           ".count",
-                       static_cast<double>(hs.total));
-    extra.emplace_back(
-        std::string("metrics.") + telemetry::hist_name(h) + ".p50",
-        static_cast<double>(hs.p50()));
-    extra.emplace_back(
-        std::string("metrics.") + telemetry::hist_name(h) + ".p99",
-        static_cast<double>(hs.p99()));
   }
   if (snap.bytes_live_peak != 0)
     std::printf("%-22s %14lld\n", "bytes_live_peak",
@@ -480,15 +461,10 @@ void dump_metrics(json_report* report) {
 
 // Times identical kernels with the metrics registry enabled vs disabled,
 // interleaving on/off runs (alternating order each pair) rather than
-// timing two separate batches, so machine-load drift cancels. Two
-// kernels bracket the recording cost: a fused
-// delayed map|reduce — the paper's hot path, where any per-block
-// bookkeeping shows up directly — and a short pipeline-service soak,
-// the instrumentation-dense path (every admit/retry/complete crosses the
-// registry choke point). CI gates the ratio at 1.05. Each kernel returns
-// the seconds it timed: the soak times only its body, so its per-class
-// oracle stays out of both arms. A soak sample whose completed jobs differ
-// from that oracle, or whose outcomes do not add up, fails the run.
+// timing two separate batches, so machine-load drift cancels. The kernel
+// is a fused delayed map|reduce — the paper's hot path, where any
+// per-block bookkeeping shows up directly. CI gates the ratio at 1.05.
+// Each kernel returns the seconds it timed.
 //
 // One fused reduce at CI's -n 4194304 lasts only a few milliseconds, where
 // scheduling noise swamps a 5% gate, so a fused-reduce sample runs a fixed
@@ -536,23 +512,11 @@ int run_metrics_overhead(const cli& c) {
                         fused_reduce();
                       return seconds_since(t0);
                     }});
-  std::string soak_err;
-  shapes.push_back({"service-soak", [&c, &soak_err] {
-                      pbds::service::soak_config scfg;
-                      scfg.producers = 4;
-                      scfg.jobs_per_producer = 32;
-                      scfg.n = c.n ? c.n : (std::size_t{1} << 14);
-                      auto r = pbds::service::run_soak(scfg);
-                      if (soak_err.empty())
-                        soak_err = pbds::service::soak_error(r);
-                      return r.seconds;
-                    }});
   std::unique_ptr<json_report> report;
   if (!c.json_path.empty())
     report = std::make_unique<json_report>(c.json_path);
   std::printf("%-24s %12s %12s %12s %9s\n", "kernel", "n", "metrics(s)",
               "nometrics(s)", "overhead");
-  int rc = 0;
   for (const auto& s : shapes) {
     auto time_one = [&](bool on) {
       telemetry::scoped_metrics g(on);
@@ -598,13 +562,7 @@ int run_metrics_overhead(const cli& c) {
     }
     std::fflush(stdout);
   }
-  if (!soak_err.empty()) {
-    std::fprintf(stderr, "pbdsbench: service-soak sample FAILED: %s\n",
-                 soak_err.c_str());
-    rc = 1;
-  }
-  if (report && !report->ok()) rc = 1;
-  return rc;
+  return report && !report->ok() ? 1 : 0;
 }
 
 }  // namespace
@@ -677,5 +635,6 @@ int main(int argc, char** argv) {
     }
   }
   if (c.metrics) dump_metrics(report.get());
+  telemetry::flush_trace_from_env();
   return 0;
 }

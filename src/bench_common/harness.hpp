@@ -437,8 +437,8 @@ class json_report {
     run_status status = run_status::ok;
     int attempts = 1;
     measurement m;
-    // Free-form numeric metrics appended to the JSON object (service soak:
-    // throughput, shed_rate, p99_ms, ...). Last field so existing
+    // Free-form numeric metrics appended to the JSON object (n,
+    // overhead_ratio, metrics.* counters, ...). Last field so existing
     // five-element aggregate initializers keep compiling.
     std::vector<std::pair<std::string, double>> extra = {};
   };

@@ -179,90 +179,57 @@ void apply_each(const Seq& s, const G& g) {
 }
 
 // The one blocked construction loop. Every terminal op that materializes
-// blocks runs it: to_array and force, phase 1 of reduce and scan, phase 2
-// of scan, and the checkpointed recovery:: ops (recovery/checkpoint_ops.hpp),
-// which differ from the plain ops only in the hooks they pass.
+// blocks runs it: to_array and force, phase 1 of reduce and scan, and
+// phase 2 of scan.
 namespace detail {
 
-// Per-block hooks of fill_blocks; the plain ops pass these no-ops.
-//   guarded()           forces the guarded loop (an injector of their own);
-//   skip(j)             block j already holds its final values (salvage);
-//   before(j)           runs first; a throw leaves block j untouched;
-//   begin(j, out, len)  block j is about to construct out[0, len);
-//   done(j, len)        block j's slots hold their final values.
-// keeps_untouched: a block that never began stays unconstructed, because
-// the hooks' owner fills it itself if it drops the storage; otherwise it
-// gets placeholders like the tail of a block that threw.
-struct no_hooks {
-  static constexpr bool keeps_untouched = false;
-  [[nodiscard]] bool guarded() const { return false; }
-  [[nodiscard]] bool skip(std::size_t) const { return false; }
-  void before(std::size_t) const {}
-  template <typename T>
-  void begin(std::size_t, T*, std::size_t) const {}
-  void done(std::size_t, std::size_t) const {}
-};
-
-// Construct every block of `bd` that the hooks do not skip into the
-// uninitialized slots dst[0, bd.n), in parallel across blocks.
+// Construct every block of `bd` into the uninitialized slots dst[0, bd.n),
+// in parallel across blocks.
 //
 // The loop is exception tolerant under the same gate and discipline as
 // parray::tabulate (an injector armed, or T has a real destructor): a
-// throw from a hook, the block function or an element evaluation is
-// captured inside the block body, the rest of a begun block is
-// default-constructed so the storage stays uniformly destructible, and
-// the first exception is rethrown after the join — so a bad_alloc
-// (injected or real) propagates without leaking. The guarded loop runs
-// under a cancel_shield — the region-level bail-out would skip whole
-// blocks and leave slots unconstructed — and once `err` triggers,
-// remaining blocks skip stream evaluation. Otherwise each block is one
-// bulk drain (gated; contiguous sources lower to one memcpy), and a throw
-// unwinds through the region cancellation protocol, leaving trivially
-// destructible slots that need no repair.
-template <typename Bid, typename Hooks>
-void fill_blocks(const Bid& bd, typename Bid::value_type* dst,
-                 const Hooks& h) {
+// throw from the block function or an element evaluation is captured
+// inside the block body, the rest of the block is default-constructed so
+// the storage stays uniformly destructible, and the first exception is
+// rethrown after the join — so a bad_alloc (injected or real) propagates
+// without leaking. The guarded loop runs under a cancel_shield — the
+// region-level bail-out would skip whole blocks and leave slots
+// unconstructed — and once `err` triggers, remaining blocks skip stream
+// evaluation. Otherwise each block is one bulk drain (gated; contiguous
+// sources lower to one memcpy), and a throw unwinds through the region
+// cancellation protocol, leaving trivially destructible slots that need
+// no repair.
+template <typename Bid>
+void fill_blocks(const Bid& bd, typename Bid::value_type* dst) {
   using T = typename Bid::value_type;
   const std::size_t blk = bd.block_size;
   if constexpr (std::is_nothrow_default_constructible_v<T>) {
     if (!std::is_trivially_destructible_v<T> ||
-        memory::fault_injection_armed() || h.guarded()) {
+        memory::fault_injection_armed()) {
       sched::cancel_shield shield;
       memory::first_exception err;
       apply(bd.num_blocks(), [&, dst](std::size_t j) {
-        if (h.skip(j)) return;
         T* out = dst + j * blk;
         std::size_t len = bd.block_length(j);
         std::size_t k = 0;
-        bool began = false;
         if (!err.triggered()) {
           try {
-            h.before(j);
-            h.begin(j, out, len);
-            began = true;
             auto st = bd.block(j);
             for (; k < len; ++k) ::new (out + k) T(st.next());
-            h.done(j, len);
             return;
           } catch (...) {
             err.capture();
           }
         }
-        if (began || !Hooks::keeps_untouched)
-          for (; k < len; ++k) ::new (out + k) T();
+        for (; k < len; ++k) ::new (out + k) T();
       });
       err.rethrow_if_set();
       return;
     }
   }
   apply(bd.num_blocks(), [&, dst](std::size_t j) {
-    if (h.skip(j)) return;
-    T* out = dst + j * blk;
-    std::size_t len = bd.block_length(j);
-    h.begin(j, out, len);
     auto st = bd.block(j);
-    stream::drain_into(st, out, len);
-    h.done(j, len);
+    stream::drain_into(st, dst + j * blk, bd.block_length(j));
   });
 }
 
@@ -284,7 +251,7 @@ template <typename Seq>
   auto bd = bid_of(as_seq(s));
   auto materialize = [&] {
     auto out = parray<typename decltype(bd)::value_type>::uninitialized(bd.n);
-    detail::fill_blocks(bd, out.data(), detail::no_hooks{});
+    detail::fill_blocks(bd, out.data());
     return out;
   };
   if (memory::budget_active()) return memory::budget_retry(materialize);
@@ -303,9 +270,6 @@ template <typename Seq>
 
 // --- reduce and scan (Fig. 10 lines 28-40) ------------------------------------
 
-// The phases below are shared with the checkpointed recovery:: ops, which
-// materialize the same block sums through ledger hooks instead of
-// to_array.
 namespace detail {
 
 // Phase 1: the block sums as a BID of nb one-element blocks, block j
@@ -322,44 +286,31 @@ template <typename Bid, typename F, typename T>
   });
 }
 
-// Phase 2 of reduce: fold the O(#blocks) sums sequentially.
-template <typename F, typename T>
-[[nodiscard]] T fold_sums(const F& f, T acc, const parray<T>& sums) {
-  for (const T& x : sums) acc = f(acc, x);
-  return acc;
-}
-
 // Phases 2-3 of scan; the two scans differ only in the output Stream.
 // Phase 2 is the exclusive scan of the sums: one sequential block (nb is
 // small) through fill_blocks, so a throwing f or copy leaves placeholders,
 // not holes. Phase 3 is *delayed* — output block j is a Stream over a
 // fresh copy of input block j seeded with partial P[j]. Returns
 // (sequence, total).
-template <template <typename, typename> class Stream, typename Bid,
-          typename F, typename T>
-[[nodiscard]] auto scan_from_sums(const Bid& bd, const F& f, const T& z,
-                                  const parray<T>& sums) {
+template <template <typename, typename> class Stream, typename F,
+          typename T, typename Seq>
+[[nodiscard]] auto scan_with(const F& f, const T& z, const Seq& s) {
+  auto bd = bid_of(as_seq(s));
+  const parray<T> sums = to_array(block_sums(bd, f, z));
   std::size_t nb = sums.size();
   auto offsets = make_bid(nb, nb == 0 ? 1 : nb, [&](std::size_t) {
     return stream::scan_stream{stream::pointer_stream<T>{sums.data()}, f, z};
   });
   auto partials = std::make_shared<parray<T>>(parray<T>::uninitialized(nb));
-  fill_blocks(offsets, partials->data(), no_hooks{});
+  fill_blocks(offsets, partials->data());
   T total = z;
   if (nb > 0) total = f((*partials)[nb - 1], sums[nb - 1]);
   auto block_fn = [b = bd.b, partials, f](std::size_t j) {
-    return Stream<typename Bid::stream_type, std::decay_t<F>>{
+    return Stream<typename decltype(bd)::stream_type, std::decay_t<F>>{
         b(j), f, (*partials)[j]};
   };
   return std::pair(make_bid(bd.n, bd.block_size, std::move(block_fn)),
                    total);
-}
-
-template <template <typename, typename> class Stream, typename F,
-          typename T, typename Seq>
-[[nodiscard]] auto scan_with(const F& f, const T& z, const Seq& s) {
-  auto bd = bid_of(as_seq(s));
-  return scan_from_sums<Stream>(bd, f, z, to_array(block_sums(bd, f, z)));
 }
 
 }  // namespace detail
@@ -376,7 +327,8 @@ template <typename F, typename T, typename Seq>
     // delayed version must not allocate per row.
     return stream::reduce(bd.block(0), bd.block_length(0), f, z);
   }
-  return detail::fold_sums(f, z, to_array(detail::block_sums(bd, f, z)));
+  for (const T& x : to_array(detail::block_sums(bd, f, z))) z = f(z, x);
+  return z;
 }
 
 // scan — the showpiece: phases 1-2 are eager but touch only O(#blocks)

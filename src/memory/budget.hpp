@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "core/env.hpp"
-#include "recovery/progress.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pbds {
@@ -65,35 +64,10 @@ class budget_exceeded : public std::bad_alloc {
   [[nodiscard]] std::int64_t live() const noexcept { return live_; }
   [[nodiscard]] std::int64_t limit() const noexcept { return limit_; }
 
-  // Checkpointed operations (src/recovery/) annotate an in-flight refusal
-  // with how far they got before rethrowing, so callers can see the
-  // salvageable progress. Plain POD members keep the (implicit, noexcept)
-  // copy required of a bad_alloc subclass.
-  void attach_progress(const recovery::progress& p) noexcept {
-    progress_ = p;
-    has_progress_ = true;
-  }
-  [[nodiscard]] bool has_progress() const noexcept { return has_progress_; }
-  [[nodiscard]] const recovery::progress& checkpoint_progress() const noexcept {
-    return progress_;
-  }
-
-  // Set by fault injectors (recovery::maybe_inject_boundary_fault) on the
-  // refusals they fabricate. An injected refusal is not transient memory
-  // pressure — nothing will drain — so the budget_retry ladder must not
-  // absorb it: retrying would let the attempt complete and silently change
-  // test semantics whenever an ambient PBDS_BUDGET_BYTES makes
-  // budget_active() true (the env-leak bug this flag fixes).
-  void mark_injected() noexcept { injected_ = true; }
-  [[nodiscard]] bool injected() const noexcept { return injected_; }
-
  private:
   std::size_t requested_;
   std::int64_t live_;
   std::int64_t limit_;
-  recovery::progress progress_{};
-  bool has_progress_ = false;
-  bool injected_ = false;
   // Fixed buffer: composing the message must not allocate — we are, by
   // definition, out of budget when this is constructed.
   char what_[160];
@@ -122,9 +96,9 @@ inline std::atomic<std::int64_t>& budget_limit_slot() {
 // Active budget_scope limits, composed by min with the base limit into
 // the cached effective limit below. A registry (rather than the old
 // save/restore of a single global) makes concurrent scopes on different
-// threads — one per in-flight service job — compose correctly regardless
-// of construction/destruction order. Scope churn is per *pipeline*, not
-// per allocation, so the mutex is cold.
+// threads compose correctly regardless of construction/destruction
+// order. Scope churn is per *pipeline*, not per allocation, so the mutex
+// is cold.
 inline std::mutex& scope_registry_mutex() {
   static std::mutex m;
   return m;
@@ -209,9 +183,8 @@ inline void set_budget_retry_policy(int retries, std::int64_t backoff_us) {
 // the scope's lifetime, so scopes compose (an inner scope can only
 // restrict, never loosen, what the outer one granted). Scopes register in
 // a process-wide min-composed registry, so concurrent scopes on different
-// threads — e.g. one per in-flight pipeline-service job — are safe and
-// order-independent: the enforced limit is always the tightest active
-// one. Non-positive `bytes` imposes no constraint.
+// threads are safe and order-independent: the enforced limit is always
+// the tightest active one. Non-positive `bytes` imposes no constraint.
 class budget_scope {
  public:
   explicit budget_scope(std::int64_t bytes) : bytes_(bytes) {
@@ -246,8 +219,7 @@ class budget_scope {
 // drawn from splitmix64(salt ^ attempt). Seeded jitter keeps retry
 // schedules de-correlated across concurrent jobs (no thundering herd when
 // a budget refusal hits many pipelines at once) while staying a pure
-// function of (salt, attempt), so a service replay makes the same
-// decisions. Used by the pipeline service's retry ladder.
+// function of (salt, attempt), so a replay makes the same decisions.
 [[nodiscard]] inline std::int64_t jittered_backoff_us(int attempt,
                                                       std::int64_t base_us,
                                                       std::uint64_t salt) {
@@ -285,11 +257,8 @@ auto budget_retry(const F& f) -> decltype(f()) {
   for (int attempt = 0;; ++attempt) {
     try {
       return f();
-    } catch (const budget_exceeded& e) {
-      // An injector-fabricated refusal is deterministic, not pressure:
-      // rethrow immediately so fault-injection tests see the same
-      // propagation whether or not an ambient budget is active.
-      if (e.injected() || attempt >= attempts) throw;
+    } catch (const budget_exceeded&) {
+      if (attempt >= attempts) throw;
       telemetry::count(telemetry::counter::budget_retries);
       std::this_thread::sleep_for(
           std::chrono::microseconds(backoff << attempt));

@@ -36,8 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "recovery/progress.hpp"
-
 namespace pbds {
 
 // Thrown at the root join of a fork-join region that the watchdog
@@ -49,22 +47,6 @@ class stall_detected : public std::runtime_error {
  public:
   explicit stall_detected(const std::string& what)
       : std::runtime_error(what) {}
-
-  // Checkpointed operations (src/recovery/) annotate an in-flight stall
-  // with how far they got before rethrowing, so the retry/resume machinery
-  // can report salvageable progress.
-  void attach_progress(const recovery::progress& p) noexcept {
-    progress_ = p;
-    has_progress_ = true;
-  }
-  [[nodiscard]] bool has_progress() const noexcept { return has_progress_; }
-  [[nodiscard]] const recovery::progress& checkpoint_progress() const noexcept {
-    return progress_;
-  }
-
- private:
-  recovery::progress progress_{};
-  bool has_progress_ = false;
 };
 
 }  // namespace pbds
@@ -103,8 +85,7 @@ class cancel_state {
   // Rethrow the winning exception. Safe from any thread that observed
   // `cancelled()`: the claim handshake (not the join edges alone) makes
   // `first_` visible, so this also covers asynchronous captures — a
-  // watchdog deadline or stagnation cancel racing a dispatcher's
-  // post-attempt rethrow.
+  // watchdog deadline or stagnation cancel racing the root's rethrow.
   void rethrow_first() {
     assert(cancelled() && "rethrow_first on a region that never failed");
     int c = claim_.load(std::memory_order_acquire);

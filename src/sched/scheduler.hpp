@@ -100,24 +100,14 @@ inline void maybe_inject_spawn_fault() {
 
 class scheduler {
  public:
-  // Guest slots: threads outside the pool (service dispatchers,
-  // pipeline_service.hpp) can enroll temporarily so their fork2join calls
-  // push real stealable work instead of degrading to the sequential
-  // fast path. Guests get deque/stat slots above the worker slots; pool
-  // workers include enrolled guest slots in their steal victim range.
-  static constexpr unsigned kMaxGuests = 16;
-
   explicit scheduler(unsigned num_workers)
       : num_workers_(num_workers == 0 ? 1 : num_workers),
         requested_(num_workers_.load(std::memory_order_relaxed)),
-        victim_bound_(requested_),
-        deques_(requested_ + kMaxGuests),
-        stats_(requested_ + kMaxGuests) {
+        deques_(requested_),
+        stats_(requested_) {
     // Enroll the constructing thread as worker 0.
     detail::tl_worker_id = 0;
     unsigned requested = requested_;
-    for (unsigned g = 0; g < kMaxGuests; ++g)
-      free_guest_slots_.push_back(requested + kMaxGuests - 1 - g);
     threads_.reserve(requested - 1);
     for (unsigned id = 1; id < requested; ++id) {
       try {
@@ -164,41 +154,6 @@ class scheduler {
   [[nodiscard]] bool push(job* j) {
     assert(detail::tl_worker_id >= 0);
     return deques_[static_cast<unsigned>(detail::tl_worker_id)].push_bottom(j);
-  }
-
-  // --- guest enrollment -------------------------------------------------------
-  //
-  // Enroll the calling (non-pool) thread as a guest worker: it gets its
-  // own deque slot, its fork2join calls push stealable jobs, and it
-  // steals from (and is stolen from by) the pool like any worker. Returns
-  // the slot id, or -1 when the thread is already enrolled or all
-  // kMaxGuests slots are taken (callers fall back to the sequential fast
-  // path — degraded, not broken). Prefer the guest_worker RAII below.
-  int enroll_guest() {
-    if (detail::tl_worker_id >= 0) return -1;
-    std::lock_guard<std::mutex> lock(guest_mutex_);
-    if (free_guest_slots_.empty()) return -1;
-    unsigned slot = free_guest_slots_.back();
-    free_guest_slots_.pop_back();
-    detail::tl_worker_id = static_cast<int>(slot);
-    // Raise the steal victim bound to cover this slot. Never lowered:
-    // stale guest slots have empty deques and are probed harmlessly.
-    unsigned bound = victim_bound_.load(std::memory_order_relaxed);
-    while (bound < slot + 1 &&
-           !victim_bound_.compare_exchange_weak(bound, slot + 1,
-                                                std::memory_order_relaxed)) {
-    }
-    return static_cast<int>(slot);
-  }
-
-  // Leave a guest slot. The guest's own deque must be empty (every fork
-  // it made has joined) — guaranteed after any balanced fork2join tree.
-  void leave_guest(int slot) {
-    assert(detail::tl_worker_id == slot && "leave_guest from a foreign thread");
-    assert(deques_[static_cast<unsigned>(slot)].looks_empty());
-    std::lock_guard<std::mutex> lock(guest_mutex_);
-    free_guest_slots_.push_back(static_cast<unsigned>(slot));
-    detail::tl_worker_id = -1;
   }
 
   // Pop from the calling worker's own deque (LIFO).
@@ -339,13 +294,11 @@ class scheduler {
     detail::tl_worker_id = -1;
   }
 
-  // Own deque first (LIFO locality), then a round of random steals. The
-  // victim range covers every slot a job may live in: pool workers plus
-  // the high-water mark of enrolled guest slots.
+  // Own deque first (LIFO locality), then a round of random steals.
   job* find_work() {
     unsigned self = static_cast<unsigned>(detail::tl_worker_id);
     if (job* j = deques_[self].pop_bottom()) return j;
-    unsigned n = victim_bound_.load(std::memory_order_relaxed);
+    unsigned n = num_workers();
     if (n == 1) return nullptr;
     stats_[self].steal_attempts.fetch_add(1, std::memory_order_relaxed);
     for (unsigned attempt = 0; attempt < 2 * n; ++attempt) {
@@ -375,36 +328,11 @@ class scheduler {
   // readers take relaxed loads, so it must be atomic.
   std::atomic<unsigned> num_workers_;
   unsigned requested_;  // worker count before any spawn-failure shrink
-  // One past the highest slot that may hold work: requested_ workers plus
-  // the high-water mark of guest slots ever enrolled.
-  std::atomic<unsigned> victim_bound_;
   std::vector<chase_lev_deque> deques_;
   std::vector<worker_stat> stats_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> subtree_failures_{0};
-  std::mutex guest_mutex_;
-  std::vector<unsigned> free_guest_slots_;
-};
-
-// RAII guest enrollment on the process-wide pool (see enroll_guest). Safe
-// to construct on a thread that is already a worker or when guest slots
-// are exhausted — `enrolled()` reports which, and fork2join from an
-// unenrolled thread still works via its sequential fast path.
-class guest_worker {
- public:
-  explicit guest_worker(scheduler& s) : sched_(&s), slot_(s.enroll_guest()) {}
-  ~guest_worker() {
-    if (slot_ >= 0) sched_->leave_guest(slot_);
-  }
-  guest_worker(const guest_worker&) = delete;
-  guest_worker& operator=(const guest_worker&) = delete;
-
-  [[nodiscard]] bool enrolled() const noexcept { return slot_ >= 0; }
-
- private:
-  scheduler* sched_;
-  int slot_;
 };
 
 namespace detail {
@@ -711,24 +639,18 @@ inline void quiesce() {
 }
 
 // Bounded quiesce: same barrier, but gives up after `timeout` and throws
-// pbds::stall_detected (with a progress snapshot attached) instead of
-// spinning forever — the unbounded form can hang on a worker whose payload
-// is wedged (busy frozen), which is exactly when the caller most needs
-// control back to diagnose or shed.
+// pbds::stall_detected instead of spinning forever — the unbounded form
+// can hang on a worker whose payload is wedged (busy frozen), which is
+// exactly when the caller most needs control back to diagnose or shed.
 inline void quiesce(std::chrono::milliseconds timeout) {
   auto& slot = detail::global_slot();
   if (!slot) return;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (!slot->quiescent()) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      recovery::progress p{};
-      p.executions = slot->total_jobs_executed();
-      stall_detected e(
+    if (std::chrono::steady_clock::now() >= deadline)
+      throw stall_detected(
           "pbds: quiesce() exceeded its deadline — a spawned worker is "
           "still inside a payload (wedged or very long leaf)");
-      e.attach_progress(p);
-      throw e;
-    }
     std::this_thread::yield();
   }
 }

@@ -1,16 +1,9 @@
-// Lock-free, shard-per-thread metrics registry (DESIGN.md §10).
+// Lock-free, shard-per-thread metrics registry (DESIGN.md §8).
 //
-// The runtime's robustness layers (checkpoint/resume, the watchdog, the
-// pipeline service) each kept private counters; this header is the one
-// place they all surface. Two primitives:
-//
-//   counters    — process-monotonic u64 event counts (forks, steals,
-//                 refusals, stalls, ...), recorded with one relaxed
-//                 fetch_add on a thread-private shard;
-//   histograms  — fixed power-of-two bucket latency/size distributions
-//                 (bucket = bit_width(value), 64 buckets, no allocation,
-//                 no clamping error beyond the 2x bucket granularity),
-//                 with p50/p99 extraction on snapshots.
+// The scheduler, the budget governor and the watchdog surface their event
+// counts here: process-monotonic u64 counters (forks, steals, refusals,
+// stalls, ...), each recorded with one relaxed fetch_add on a
+// thread-private shard, plus one max-gauge, the bytes-live peak.
 //
 // Memory model: every cell is a relaxed std::atomic<u64> that only ever
 // increases (the sole max-gauge uses a CAS max). snapshot() therefore
@@ -20,13 +13,13 @@
 // its true value at some instant during the call, and successive
 // snapshots never observe a sum decrease. No cross-cell atomicity is
 // promised (a fork counted on shard A may be visible before its join on
-// shard B); the registry is for rates and distributions, not invariants.
+// shard B); the registry is for rates, not invariants.
 //
 // Sharding: threads hash onto kShards cache-line-padded shards via a
 // thread_local slot assigned round-robin on first record, so the hot path
 // is one TLS read + one relaxed RMW on a line no other core is writing.
-// Pool workers, guest threads and service dispatchers all record through
-// the same API; the registry has no dependency on the scheduler.
+// Pool workers and threads outside the pool record through the same API;
+// the registry has no dependency on the scheduler.
 //
 // Gate: PBDS_METRICS (default ON; 0 disables) is read once into an
 // atomic slot, re-readable via reload_metrics_from_env() (used by the
@@ -38,7 +31,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -59,15 +51,6 @@ enum class counter : unsigned {
   budget_admissions,
   budget_refusals,
   budget_retries,
-  // recovery
-  blocks_salvaged,
-  blocks_redone,
-  // service
-  jobs_admitted,
-  jobs_shed,
-  jobs_retried,
-  jobs_completed,
-  jobs_failed,
   kCount,
 };
 inline constexpr std::size_t kNumCounters =
@@ -75,32 +58,10 @@ inline constexpr std::size_t kNumCounters =
 
 [[nodiscard]] inline const char* counter_name(counter c) {
   static constexpr const char* kNames[kNumCounters] = {
-      "forks",           "joins",          "steals",
-      "failed_steals",   "stalls",         "budget_admissions",
-      "budget_refusals", "budget_retries", "blocks_salvaged",
-      "blocks_redone",   "jobs_admitted",  "jobs_shed",
-      "jobs_retried",    "jobs_completed", "jobs_failed",
+      "forks",  "joins",           "steals",          "failed_steals",
+      "stalls", "budget_admissions", "budget_refusals", "budget_retries",
   };
   return kNames[static_cast<std::size_t>(c)];
-}
-
-enum class hist : unsigned {
-  service_latency_us,  // end-to-end submit->terminal latency per job
-  attempt_latency_us,  // single service attempt latency
-  block_bytes,         // materialized checkpoint-block sizes
-  kCount,
-};
-inline constexpr std::size_t kNumHists =
-    static_cast<std::size_t>(hist::kCount);
-inline constexpr std::size_t kHistBuckets = 64;
-
-[[nodiscard]] inline const char* hist_name(hist h) {
-  static constexpr const char* kNames[kNumHists] = {
-      "service_latency_us",
-      "attempt_latency_us",
-      "block_bytes",
-  };
-  return kNames[static_cast<std::size_t>(h)];
 }
 
 // --- the gate ----------------------------------------------------------------
@@ -168,7 +129,6 @@ inline constexpr std::size_t kShards = 32;
 
 struct alignas(64) shard {
   std::atomic<std::uint64_t> counters[kNumCounters];
-  std::atomic<std::uint64_t> hists[kNumHists][kHistBuckets];
 };
 
 struct registry {
@@ -191,11 +151,6 @@ inline shard& shard_of_thread() {
   return reg().shards[idx];
 }
 
-[[nodiscard]] inline std::size_t bucket_of(std::uint64_t value) {
-  // bucket b holds values with bit_width b: 0 -> 0, [2^(b-1), 2^b) -> b.
-  return static_cast<std::size_t>(std::bit_width(value));
-}
-
 }  // namespace detail
 
 // O(1) hot-path record: one TLS read + one relaxed fetch_add when enabled,
@@ -205,14 +160,6 @@ inline void count(counter c, std::uint64_t n = 1) {
   if (!metrics_enabled()) return;
   detail::shard_of_thread().counters[static_cast<std::size_t>(c)].fetch_add(
       n, std::memory_order_relaxed);
-}
-
-inline void observe(hist h, std::uint64_t value) {
-  if constexpr (!metrics_compiled_in) return;
-  if (!metrics_enabled()) return;
-  detail::shard_of_thread()
-      .hists[static_cast<std::size_t>(h)][detail::bucket_of(value)]
-      .fetch_add(1, std::memory_order_relaxed);
 }
 
 // Raise the bytes-live high-water mark to at least `live`.
@@ -228,42 +175,12 @@ inline void observe_peak_bytes(std::int64_t live) {
 
 // --- snapshots ---------------------------------------------------------------
 
-struct histogram_snapshot {
-  std::array<std::uint64_t, kHistBuckets> buckets{};
-  std::uint64_t total = 0;
-
-  // Upper bound of the bucket containing the q-quantile observation
-  // (0 when the histogram is empty). Error is bounded by the 2x bucket
-  // width, which is all a latency SLO dashboard needs.
-  [[nodiscard]] std::uint64_t quantile(double q) const {
-    if (total == 0) return 0;
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
-    if (rank >= total) rank = total - 1;
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < kHistBuckets; ++b) {
-      seen += buckets[b];
-      if (seen > rank)
-        return b == 0 ? 0 : (std::uint64_t{1} << (b < 64 ? b : 63));
-    }
-    return std::uint64_t{1} << 63;
-  }
-
-  [[nodiscard]] std::uint64_t p50() const { return quantile(0.50); }
-  [[nodiscard]] std::uint64_t p99() const { return quantile(0.99); }
-};
-
 struct metrics_snapshot {
   std::array<std::uint64_t, kNumCounters> counters{};
-  std::array<histogram_snapshot, kNumHists> hists{};
   std::int64_t bytes_live_peak = 0;
 
   [[nodiscard]] std::uint64_t get(counter c) const {
     return counters[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] const histogram_snapshot& get(hist h) const {
-    return hists[static_cast<std::size_t>(h)];
   }
 };
 
@@ -273,17 +190,9 @@ struct metrics_snapshot {
   metrics_snapshot out;
   if constexpr (!metrics_compiled_in) return out;
   auto& r = detail::reg();
-  for (const auto& s : r.shards) {
+  for (const auto& s : r.shards)
     for (std::size_t c = 0; c < kNumCounters; ++c)
       out.counters[c] += s.counters[c].load(std::memory_order_relaxed);
-    for (std::size_t h = 0; h < kNumHists; ++h)
-      for (std::size_t b = 0; b < kHistBuckets; ++b)
-        out.hists[h].buckets[b] +=
-            s.hists[h][b].load(std::memory_order_relaxed);
-  }
-  for (std::size_t h = 0; h < kNumHists; ++h)
-    for (std::size_t b = 0; b < kHistBuckets; ++b)
-      out.hists[h].total += out.hists[h].buckets[b];
   out.bytes_live_peak = r.bytes_live_peak.load(std::memory_order_relaxed);
   return out;
 }
@@ -295,13 +204,9 @@ struct metrics_snapshot {
 inline void reset() {
   if constexpr (!metrics_compiled_in) return;
   auto& r = detail::reg();
-  for (auto& s : r.shards) {
+  for (auto& s : r.shards)
     for (std::size_t c = 0; c < kNumCounters; ++c)
       s.counters[c].store(0, std::memory_order_relaxed);
-    for (std::size_t h = 0; h < kNumHists; ++h)
-      for (std::size_t b = 0; b < kHistBuckets; ++b)
-        s.hists[h][b].store(0, std::memory_order_relaxed);
-  }
   r.bytes_live_peak.store(0, std::memory_order_relaxed);
 }
 

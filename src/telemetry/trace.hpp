@@ -1,10 +1,10 @@
 // Trace timeline: bounded per-thread ring buffers of timestamped spans,
-// flushed on demand to Chrome-trace JSON (DESIGN.md §10).
+// flushed on demand to Chrome-trace JSON (DESIGN.md §8).
 //
 // Load `chrome://tracing` (or https://ui.perfetto.dev) and open the file
 // PBDS_TRACE_FILE points at to see what the runtime actually did: one
 // track per recording thread, "X" (complete) events for spans — region /
-// job / block / retry — and "i" (instant) events for point happenings
+// job / block — and "i" (instant) events for point happenings
 // such as deterministic-scheduler fork/steal decisions.
 // Because the deterministic scheduler emits into the same rings, a
 // replayed (seed, nth) failure produces a viewable timeline of the
@@ -16,7 +16,7 @@
 //     recorded event only);
 //   * bounded: each thread's ring holds PBDS_TRACE_CAP events (default
 //     4096); on overflow the oldest events are overwritten and a dropped
-//     counter is kept — a soak run cannot OOM the tracer;
+//     counter is kept — a long run cannot OOM the tracer;
 //   * lock-free recording: a thread writes only its own ring; the only
 //     shared write is the one-time ring-slot assignment.
 //
@@ -43,13 +43,12 @@ enum class trace_kind : std::uint8_t {
   region,
   job,
   block,
-  retry,
   sched,  // scheduler decisions (det fork/steal, watchdog actions)
 };
 
 [[nodiscard]] inline const char* trace_kind_name(trace_kind k) {
-  static constexpr const char* kNames[] = {"region", "job",   "block",
-                                           "retry",  "sched"};
+  static constexpr const char* kNames[] = {"region", "job", "block",
+                                           "sched"};
   return kNames[static_cast<std::size_t>(k)];
 }
 
@@ -265,7 +264,7 @@ inline std::size_t flush_trace(const char* path) {
 }
 
 // Flush to PBDS_TRACE_FILE if it is set; returns events written (0 when
-// unset). The soak driver and pbdsbench call this at end of run.
+// unset). pbdsbench calls this at end of run.
 inline std::size_t flush_trace_from_env() {
   const char* f = std::getenv("PBDS_TRACE_FILE");
   if (f == nullptr || *f == '\0') return 0;

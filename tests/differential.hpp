@@ -36,7 +36,6 @@
 #include "benchmarks/policies.hpp"
 #include "memory/budget.hpp"
 #include "memory/tracking.hpp"
-#include "recovery/checkpoint_ops.hpp"
 #include "sched/deterministic.hpp"
 #include "sched/exec_policy.hpp"
 #include "sched/parallel.hpp"
@@ -366,156 +365,6 @@ inline void expect_seed_replay(const diff_case& c,
       EXPECT_EQ(hash1, hash2) << label << " trace hash diverged on replay";
       EXPECT_EQ(forks1, forks2) << label << " fork count diverged on replay";
       expect_digest_eq(d2, d1, label + " (replay digests)");
-    }
-  }
-}
-
-// --- resume oracle (PR 7) ---------------------------------------------------
-
-// One recovery case: a pipeline whose terminal passes run through the
-// checkpointed recovery:: ops against the supplied job_checkpoint, digesting
-// the result. The same closure serves as the failing attempt (under an armed
-// boundary fault) and the resuming attempt (same checkpoint, no fault), so
-// any divergence between "resumed" and "ran clean" is the library's fault,
-// not the test's.
-struct resume_case {
-  std::string name;
-  std::function<digest(recovery::job_checkpoint&)> run;
-};
-
-inline constexpr recovery::boundary_fault_kind kResumeFaultKinds[3] = {
-    recovery::boundary_fault_kind::fault, recovery::boundary_fault_kind::stall,
-    recovery::boundary_fault_kind::budget};
-inline constexpr const char* kResumeFaultNames[3] = {"fault", "stall",
-                                                     "budget"};
-
-namespace detail {
-
-// One crash-at-boundary-`b` probe: fault the attempt after `b` unit starts,
-// then resume the same checkpoint cleanly and hold the result to three
-// oracles:
-//
-//   1. digest(resumed) == digest(uninterrupted reference) — bit-identical;
-//   2. executions_after - executions_before ==
-//      blocks_total_after - blocks_complete_before — after the failed
-//      attempt, every block is (re)executed at most once, and completed
-//      blocks are never re-executed ("no block executed more than once
-//      after the successful attempt": units that appear during the resume,
-//      e.g. a later op's slot in a multi-op job, are counted by
-//      blocks_total_after);
-//   3. with `check_bytes`, destroying the checkpoint returns bytes_live to
-//      its pre-case baseline — partial progress does not leak (only
-//      asserted sequentially; scheduler pools allocate lazily).
-//
-// Returns true when boundary `b` is past the end of the computation (the
-// armed fault never fired), which terminates the caller's sweep.
-inline bool probe_resume_at_boundary(const resume_case& c,
-                                     recovery::boundary_fault_kind kind,
-                                     const char* kind_name, std::int64_t b,
-                                     const digest& ref,
-                                     const std::string& mode_label,
-                                     bool check_bytes) {
-  std::string label = c.name + " kind=" + kind_name +
-                      " boundary=" + std::to_string(b) + " " + mode_label;
-  bool past_end = false;
-  std::int64_t base_bytes = memory::bytes_live();
-  {
-    recovery::job_checkpoint ck;
-    bool faulted = false;
-    {
-      recovery::scoped_boundary_faults inj(kind, b);
-      try {
-        digest clean = c.run(ck);
-        if (inj.injected() == 0) {
-          // Boundary lies past the last unit: a clean, unfaulted run.
-          expect_digest_eq(clean, ref, label + " (unfaulted run)");
-          past_end = true;
-        } else {
-          ADD_FAILURE() << label
-                        << ": attempt completed despite an injected fault";
-        }
-      } catch (...) {
-        EXPECT_EQ(inj.injected(), 1u)
-            << label << " one-shot injector fired more than once";
-        faulted = true;
-      }
-    }
-    if (faulted) {
-      recovery::progress before = ck.aggregate();
-      digest resumed = c.run(ck);  // no faults armed: must complete
-      expect_digest_eq(resumed, ref, label + " (resumed run)");
-      recovery::progress after = ck.aggregate();
-      EXPECT_EQ(after.executions - before.executions,
-                after.blocks_total - before.blocks_complete)
-          << label
-          << ": resume re-executed blocks the failed attempt completed "
-          << "(executions " << before.executions << " -> " << after.executions
-          << ", complete " << before.blocks_complete << "/"
-          << before.blocks_total << " -> " << after.blocks_complete << "/"
-          << after.blocks_total << ")";
-      EXPECT_EQ(after.blocks_complete, after.blocks_total)
-          << label << ": resumed run left incomplete blocks";
-    }
-  }
-  if (check_bytes) {
-    EXPECT_EQ(memory::bytes_live(), base_bytes)
-        << label << ": checkpoint destruction leaked partial progress";
-  }
-  return past_end;
-}
-
-}  // namespace detail
-
-// The recovery differential oracle: for every fault kind (plain fault,
-// stall_detected, budget_exceeded) and every execution mode (sequential,
-// deterministic seed sweep, real pool), crash the case at EVERY block
-// boundary in turn and prove resume == fresh run. The sweep self-sizes: it
-// advances the crash boundary until the armed fault no longer fires.
-inline void expect_resume_equivalence(const resume_case& c,
-                                      const std::vector<std::uint64_t>& seeds,
-                                      unsigned det_workers = 4) {
-  constexpr std::int64_t kSweepCap = 4096;  // backstop against a runaway sweep
-  digest ref;
-  {
-    sched::scoped_sequential g;
-    recovery::job_checkpoint ck;
-    ref = c.run(ck);
-  }
-  for (int k = 0; k < 3; ++k) {
-    // Sequential: full sweep + leak check.
-    std::int64_t boundaries = 0;
-    for (std::int64_t b = 0; b < kSweepCap; ++b) {
-      sched::scoped_sequential g;
-      if (detail::probe_resume_at_boundary(c, kResumeFaultKinds[k],
-                                           kResumeFaultNames[k], b, ref,
-                                           "mode=sequential", true)) {
-        boundaries = b;
-        break;
-      }
-    }
-    // Non-vacuity: a case with zero faultable boundaries means the
-    // checkpointed ops never consulted the injector — the sweep tested
-    // nothing.
-    EXPECT_GT(boundaries, 0)
-        << c.name << " kind=" << kResumeFaultNames[k]
-        << ": no boundary fault ever fired; sweep is vacuous";
-    // Deterministic: full sweep per seed, replayable via PBDS_SEED_TRACE.
-    for (std::uint64_t seed : seeds) {
-      PBDS_SEED_TRACE(seed);
-      for (std::int64_t b = 0; b < kSweepCap; ++b) {
-        sched::scoped_deterministic g(seed, det_workers);
-        if (detail::probe_resume_at_boundary(
-                c, kResumeFaultKinds[k], kResumeFaultNames[k], b, ref,
-                "mode=deterministic seed=" + std::to_string(seed), false))
-          break;
-      }
-    }
-    // Real pool: the fault lands on whichever worker crosses the boundary.
-    for (std::int64_t b = 0; b < kSweepCap; ++b) {
-      if (detail::probe_resume_at_boundary(c, kResumeFaultKinds[k],
-                                           kResumeFaultNames[k], b, ref,
-                                           "mode=real-scheduler", false))
-        break;
     }
   }
 }

@@ -30,7 +30,6 @@
 #include "core/delayed.hpp"
 #include "memory/budget.hpp"
 #include "memory/tracking.hpp"
-#include "recovery/checkpoint_ops.hpp"
 #include "sched/deterministic.hpp"
 #include "sched/exec_policy.hpp"
 #include "sched/parallel.hpp"
@@ -127,54 +126,6 @@ TEST(Budget, RetryLadderExhaustsAndRethrows) {
                budget_exceeded);
   EXPECT_EQ(calls, 3);  // initial attempt + 2 retries
   memory::set_budget_retry_policy(2, 50);
-}
-
-// Regression for the PBDS_BUDGET_BYTES env leak: an injector-fabricated
-// refusal is deterministic, not transient pressure, so the ladder must
-// rethrow it on the first attempt — otherwise recovery::with_progress
-// (which wraps attempts in budget_retry whenever a budget is ambient)
-// silently completes an attempt the sweep expected to fault.
-TEST(Budget, RetryLadderRethrowsInjectedFaultImmediately) {
-  memory::set_budget_retry_policy(3, 1);
-  int calls = 0;
-  try {
-    memory::budget_retry([&]() -> int {
-      ++calls;
-      budget_exceeded e(1, 0, 0);
-      e.mark_injected();
-      throw e;
-    });
-    FAIL() << "injected refusal must propagate";
-  } catch (const budget_exceeded& e) {
-    EXPECT_TRUE(e.injected());
-  }
-  EXPECT_EQ(calls, 1);  // no retries for an injected fault
-  memory::set_budget_retry_policy(2, 50);
-}
-
-// End-to-end: the boundary injector's budget kind propagates out of a
-// checkpointed op even with an ambient process budget active (the exact
-// interplay the env leak broke).
-TEST(Budget, InjectedBoundaryBudgetFaultPropagatesUnderAmbientBudget) {
-  memory::set_budget_limit(16 << 20);
-  {
-    auto xs = delayed::map(
-        [](std::size_t v) { return static_cast<std::int64_t>(v) + 1; },
-        delayed::iota(1 << 14));
-    recovery::resumable_result<std::int64_t> rr;
-    recovery::scoped_boundary_faults inj(recovery::boundary_fault_kind::budget,
-                                         2);
-    bool threw = false;
-    try {
-      (void)recovery::to_array(xs, rr);
-    } catch (const budget_exceeded& e) {
-      threw = true;
-      EXPECT_TRUE(e.injected());
-    }
-    EXPECT_TRUE(threw) << "attempt completed despite an injected fault";
-    EXPECT_EQ(inj.injected(), 1u);
-  }
-  memory::set_budget_limit(0);
 }
 
 // --- bounded-chunk degradation ----------------------------------------------

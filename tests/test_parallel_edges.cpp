@@ -1,14 +1,20 @@
 // parallel_for / fork2join edge cases, across execution modes:
 // empty and single-element ranges, ranges exactly at / one past the
-// granularity boundary, and nested parallelism entered from a thread that
-// is not part of the worker pool.
+// granularity boundary, and nested parallelism or whole delayed pipelines
+// entered from threads that are not part of the worker pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "array/parray.hpp"
+#include "core/delayed.hpp"
+#include "memory/tracking.hpp"
 #include "sched/deterministic.hpp"
 #include "sched/exec_policy.hpp"
 #include "sched/parallel.hpp"
@@ -135,6 +141,88 @@ TEST(ParallelForEdges, NonPoolThreadRunsNestedParallelismSafely) {
   outsider.join();
   EXPECT_TRUE(ok.load());
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+// filter -> scan -> map-to-parray -> flatten -> to_array: every terminal
+// and forcing path of the delayed library allocates along the way.
+parray<std::int64_t> nested_pipeline(std::size_t n) {
+  auto input = delayed::tabulate(n, [](std::size_t i) {
+    return static_cast<std::int64_t>(i * 2654435761u % 1009);
+  });
+  auto kept =
+      delayed::filter([](std::int64_t v) { return v % 3 != 0; }, input);
+  auto prefix = delayed::scan(
+                    [](std::int64_t a, std::int64_t b) { return a + b; },
+                    std::int64_t{0}, kept)
+                    .first;
+  auto inners = delayed::map(
+      [](std::int64_t v) {
+        return parray<std::int64_t>::tabulate(
+            static_cast<std::size_t>(v % 4) + 1,
+            [v](std::size_t j) { return v + static_cast<std::int64_t>(j); });
+      },
+      prefix);
+  return delayed::to_array(delayed::flatten(inners));
+}
+
+TEST(ParallelForEdges, NonPoolThreadsRunDelayedPipelinesBesideThePool) {
+  // Threads outside the pool take the sequential fallback while the pool's
+  // own caller forks onto the workers, all allocating through the one
+  // tracker (and any ambient budget) at once. Every result must match the
+  // sequential reference, every tracked byte must come back, and the pool
+  // must stay usable. n stays small enough that the four concurrent
+  // pipelines fit a 16 MiB PBDS_BUDGET_BYTES.
+  constexpr std::size_t kN = std::size_t{1} << 15;
+  constexpr int kOutsiders = 3;
+  constexpr int kRounds = 5;
+  (void)sched::get_scheduler();  // this thread is the pool's caller
+  const parray<std::int64_t> ref = [] {
+    sched::scoped_sequential seq;
+    return nested_pipeline(kN);
+  }();
+  auto matches_ref = [&ref](const parray<std::int64_t>& got) {
+    return got.size() == ref.size() &&
+           std::equal(got.begin(), got.end(), ref.begin());
+  };
+  const std::int64_t baseline = memory::bytes_live();
+
+  std::atomic<bool> go{false};
+  std::atomic<int> mismatches{0};
+  // One slot per caller (outsiders first, the pool's caller last): the
+  // failure message of a pipeline that threw, so no exception escapes a
+  // thread.
+  std::vector<std::string> errors(kOutsiders + 1);
+  auto run_rounds = [&](std::string& error) {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    try {
+      for (int r = 0; r < kRounds; ++r)
+        if (!matches_ref(nested_pipeline(kN))) mismatches.fetch_add(1);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  };
+  std::atomic<int> outsiders_in_pool{0};
+  std::vector<std::thread> outsiders;
+  outsiders.reserve(kOutsiders);
+  for (int t = 0; t < kOutsiders; ++t) {
+    outsiders.emplace_back([&, t] {
+      if (sched::scheduler::worker_id() >= 0) outsiders_in_pool.fetch_add(1);
+      run_rounds(errors[t]);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  run_rounds(errors[kOutsiders]);
+  for (auto& t : outsiders) t.join();
+
+  EXPECT_EQ(outsiders_in_pool.load(), 0);
+  for (int t = 0; t <= kOutsiders; ++t)
+    EXPECT_EQ(errors[t], "") << "caller " << t;
+  EXPECT_EQ(mismatches.load(), 0);
+  sched::quiesce();
+  EXPECT_EQ(memory::bytes_live(), baseline);
+  EXPECT_TRUE(matches_ref(nested_pipeline(kN)));
+  sched::quiesce();
+  EXPECT_EQ(memory::bytes_live(), baseline);
 }
 
 TEST(ParallelForEdges, ApplyUsesGranularityOne) {
