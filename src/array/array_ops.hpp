@@ -58,34 +58,56 @@ template <typename T, typename U>
   });
 }
 
-// a.reduce — two-phase blocked reduction (§2.2): sequential partial sums
-// per block in parallel across blocks, then a sequential pass over the
-// (few) partials. `f` must be associative with identity z.
-template <typename F, typename T>
-[[nodiscard]] T reduce(const F& f, T z, const parray<T>& a) {
-  std::size_t n = a.size();
+namespace detail {
+// The two-phase blocked skeleton of reduce and fold (§2.2): block(lo, hi)
+// folds a[lo, hi) sequentially, in parallel across blocks; the nb
+// partials are then combined left to right from z. No partials array for
+// zero blocks or one.
+template <typename T, typename Block, typename C>
+[[nodiscard]] T combine_blocks(std::size_t n, const Block& block,
+                               const C& combine, const T& z) {
   if (n == 0) return z;
   std::size_t blk = block_size();
   std::size_t nb = num_blocks_for(n, blk);
-  const T* p = a.data();
-  if (nb == 1) {
-    T acc = z;
-    for (std::size_t i = 0; i < n; ++i) acc = f(acc, p[i]);
-    return acc;
-  }
-  parray<T> sums = parray<T>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
-        T acc = z;
-        for (std::size_t i = lo; i < hi; ++i) acc = f(acc, p[i]);
-        return acc;
-      },
-      /*granularity=*/1);
+  auto block_j = [&](std::size_t j) {
+    std::size_t lo = j * blk;
+    return block(lo, lo + blk < n ? lo + blk : n);
+  };
+  if (nb == 1) return block_j(0);
+  parray<T> sums = parray<T>::tabulate(nb, block_j, /*granularity=*/1);
   T acc = z;
-  for (std::size_t j = 0; j < nb; ++j) acc = f(acc, sums[j]);
+  for (std::size_t j = 0; j < nb; ++j) acc = combine(acc, sums[j]);
   return acc;
+}
+}  // namespace detail
+
+// a.reduce — two-phase blocked reduction: `f` must be associative with
+// identity z.
+template <typename F, typename T>
+[[nodiscard]] T reduce(const F& f, T z, const parray<T>& a) {
+  const T* p = a.data();
+  auto block = [&](std::size_t lo, std::size_t hi) {
+    T acc = z;
+    for (std::size_t i = lo; i < hi; ++i) acc = f(acc, p[i]);
+    return acc;
+  };
+  return detail::combine_blocks(a.size(), block, f, z);
+}
+
+// a.fold — reduce with an accumulator type T that may differ from the
+// element type: each block copies z and runs step(acc, x) in place on its
+// elements in order; the partials are combined left to right with
+// combine(acc, partial), associative with identity z.
+template <typename Step, typename C, typename T, typename U>
+[[nodiscard]] T fold(const Step& step, const C& combine, T z,
+                     const parray<U>& a) {
+  const U* p = a.data();
+  auto block = [&](std::size_t lo, std::size_t hi) {
+    T acc = z;
+    for (std::size_t i = lo; i < hi; ++i) step(acc, p[i]);
+    return acc;
+  };
+  return detail::combine_blocks(a.size(), block, combine, z);
 }
 
 namespace detail {

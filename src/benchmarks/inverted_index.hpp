@@ -3,20 +3,20 @@
 // "applied to improve ... inverted indices").
 //
 // Each newline-terminated line of the corpus is a document. The kernel:
-//   1. computes each position's document id with an inclusive scan of the
+//   1. computes each position's document id with an exclusive scan of the
 //      newline indicator (BID),
 //   2. zips the ids with positions and filterOps the word starts into
 //      (first-letter bucket, document id) postings — the flattened
 //      postings stream is never materialized,
-//   3. accumulates per-bucket posting counts and checksums via an
-//      effectful fused traversal.
+//   3. folds the postings into per-bucket posting counts and checksums:
+//      each block accumulates its own partial index, and the partials are
+//      summed bucket by bucket, so no two workers write the same counter.
 //
-// The whole thing is scan -> zip -> filterOp -> apply, i.e. every fusion
+// The whole thing is scan -> zip -> filterOp -> fold, i.e. every fusion
 // feature at once on a realistic text-indexing workload.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -60,23 +60,22 @@ inverted_index build_index(const parray<char>& corpus) {
             static_cast<std::uint8_t>(c - 'a'), pos_doc.second);
       },
       P::zip(P::iota(n), docids));
-  // Accumulate the index. Fused traversal; atomics because blocks run in
-  // parallel. The doc hash uses a commutative combine so the result is
-  // independent of traversal order.
-  std::array<std::atomic<std::uint64_t>, 26> counts{};
-  std::array<std::atomic<std::uint64_t>, 26> hashes{};
-  P::apply_each(postings,
-                [&](const std::pair<std::uint8_t, std::uint32_t>& bd) {
-                  counts[bd.first].fetch_add(1, std::memory_order_relaxed);
-                  hashes[bd.first].fetch_add(
-                      (bd.second + 1) * 0x9e3779b97f4a7c15ull,
-                      std::memory_order_relaxed);
-                });
-  inverted_index out{};
-  for (int b = 0; b < 26; ++b) {
-    out[b] = index_bucket{counts[b].load(), hashes[b].load()};
-  }
-  return out;
+  // Accumulate the index in one fused traversal. The doc hash is a sum,
+  // so the result does not depend on how the postings are blocked.
+  auto add_posting = [](inverted_index& idx,
+                        const std::pair<std::uint8_t, std::uint32_t>& bd) {
+    index_bucket& b = idx[bd.first];
+    b.postings += 1;
+    b.doc_hash += (bd.second + 1) * 0x9e3779b97f4a7c15ull;
+  };
+  auto merge = [](inverted_index a, const inverted_index& b) {
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      a[k].postings += b[k].postings;
+      a[k].doc_hash += b[k].doc_hash;
+    }
+    return a;
+  };
+  return P::fold(add_posting, merge, inverted_index{}, postings);
 }
 
 inline inverted_index index_reference(const parray<char>& corpus) {

@@ -14,7 +14,8 @@
 // differences.
 //
 // The policy surface is the paper's Fig. 1 interface plus the conversion
-// functions of Fig. 9 (`to_array`, `force`) and `apply_each`.
+// functions of Fig. 9 (`to_array`, `force`), `apply_each`, and `fold`, a
+// reduce whose accumulator type may differ from the element type.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +58,10 @@ struct array_policy {
   template <typename F, typename T, typename Seq>
   static T reduce(F f, T z, const Seq& s) {
     return array_ops::reduce(f, z, s);
+  }
+  template <typename Step, typename C, typename T, typename Seq>
+  static T fold(Step step, C combine, T z, const Seq& s) {
+    return array_ops::fold(step, combine, std::move(z), s);
   }
   template <typename F, typename T, typename Seq>
   static auto scan(F f, T z, const Seq& s) {
@@ -124,6 +129,10 @@ struct rad_policy {
   static T reduce(F f, T z, const Seq& s) {
     return radlib::reduce(f, z, s);
   }
+  template <typename Step, typename C, typename T, typename Seq>
+  static T fold(Step step, C combine, T z, const Seq& s) {
+    return radlib::fold(step, combine, std::move(z), s);
+  }
   template <typename F, typename T, typename Seq>
   static auto scan(F f, T z, const Seq& s) {
     return radlib::scan(f, z, s);
@@ -184,6 +193,10 @@ struct delay_policy {
   template <typename F, typename T, typename Seq>
   static T reduce(F f, T z, const Seq& s) {
     return delayed::reduce(f, z, s);
+  }
+  template <typename Step, typename C, typename T, typename Seq>
+  static T fold(Step step, C combine, T z, const Seq& s) {
+    return delayed::fold(step, combine, std::move(z), s);
   }
   template <typename F, typename T, typename Seq>
   static auto scan(F f, T z, const Seq& s) {

@@ -268,22 +268,47 @@ template <typename Seq>
   return rad_shared(std::move(arr));
 }
 
-// --- reduce and scan (Fig. 10 lines 28-40) ------------------------------------
+// --- reduce, fold and scan (Fig. 10 lines 28-40) ----------------------------
 
 namespace detail {
 
-// Phase 1: the block sums as a BID of nb one-element blocks, block j
-// folding input block j's stream (fused with whatever produced the
-// input). Materializing it runs the parallel_for(0, nb, ·, 1) tree of
-// tabulating the sums.
-template <typename Bid, typename F, typename T>
-[[nodiscard]] auto block_sums(const Bid& bd, const F& f, const T& z) {
-  auto sum = [&bd, &f, &z](std::size_t j) {
-    return stream::reduce(bd.block(j), bd.block_length(j), f, z);
+// Phase 1: the block sums as a BID of nb one-element blocks, element j
+// being body(input block j's stream, its length) — block j folded, fused
+// with whatever produced the input. Materializing it runs the
+// parallel_for(0, nb, ·, 1) tree of tabulating the sums.
+template <typename Bid, typename Body>
+[[nodiscard]] auto block_sums(const Bid& bd, Body body) {
+  auto sum = [&bd, body](std::size_t j) {
+    return body(bd.block(j), bd.block_length(j));
   };
   return make_bid(bd.num_blocks(), 1, [sum](std::size_t j) {
     return stream::tabulate_stream<decltype(sum)>{sum, j};
   });
+}
+
+// The block body of reduce and of scan's phase 1: stream::reduce's value
+// chain, z = f(z, x), which keeps the accumulator in registers.
+template <typename F, typename T>
+[[nodiscard]] auto reduce_body(const F& f, const T& z) {
+  return [&f, &z](auto st, std::size_t len) {
+    return stream::reduce(std::move(st), len, f, z);
+  };
+}
+
+// The blocked skeleton of reduce and fold: phase 1 folds each block with
+// `body`, phase 2 combines the nb partials left to right from z. No
+// blocks: z. One block: its fold, with no partials array — this matters
+// for nested parallelism (e.g. sparse-mxv's per-row reduces), where the
+// delayed version must not allocate per row.
+template <typename Bid, typename Body, typename C, typename T>
+[[nodiscard]] T combine_blocks(const Bid& bd, const Body& body,
+                               const C& combine, const T& z) {
+  std::size_t nb = bd.num_blocks();
+  if (nb == 0) return z;
+  if (nb == 1) return body(bd.block(0), bd.block_length(0));
+  T acc = z;
+  for (const T& x : to_array(block_sums(bd, body))) acc = combine(acc, x);
+  return acc;
 }
 
 // Phases 2-3 of scan; the two scans differ only in the output Stream.
@@ -296,7 +321,7 @@ template <template <typename, typename> class Stream, typename F,
           typename T, typename Seq>
 [[nodiscard]] auto scan_with(const F& f, const T& z, const Seq& s) {
   auto bd = bid_of(as_seq(s));
-  const parray<T> sums = to_array(block_sums(bd, f, z));
+  const parray<T> sums = to_array(block_sums(bd, reduce_body(f, z)));
   std::size_t nb = sums.size();
   auto offsets = make_bid(nb, nb == 0 ? 1 : nb, [&](std::size_t) {
     return stream::scan_stream{stream::pointer_stream<T>{sums.data()}, f, z};
@@ -318,17 +343,26 @@ template <template <typename, typename> class Stream, typename F,
 // reduce: phase 1 eagerly folds each block; phase 2 folds the partials.
 template <typename F, typename T, typename Seq>
 [[nodiscard]] T reduce(const F& f, T z, const Seq& s) {
-  auto bd = bid_of(as_seq(s));
-  std::size_t nb = bd.num_blocks();
-  if (nb == 0) return z;
-  if (nb == 1) {
-    // Single block: fold directly, no partials array. This matters for
-    // nested parallelism (e.g. sparse-mxv's per-row reduces), where the
-    // delayed version must not allocate per row.
-    return stream::reduce(bd.block(0), bd.block_length(0), f, z);
-  }
-  for (const T& x : to_array(detail::block_sums(bd, f, z))) z = f(z, x);
-  return z;
+  return detail::combine_blocks(bid_of(as_seq(s)), detail::reduce_body(f, z),
+                                f, z);
+}
+
+// fold: reduce with an accumulator type T that may differ from the
+// element type. Each block starts from a copy of z and runs the in-place
+// step(acc, x) on its elements in order; the block partials are then
+// combined left to right with combine(acc, partial), which must be
+// associative with identity z. Blocking, the empty and one-block cases
+// and the nb-partials allocation are reduce's.
+template <typename Step, typename C, typename T, typename Seq>
+[[nodiscard]] T fold(const Step& step, const C& combine, T z,
+                     const Seq& s) {
+  auto body = [&step, &z](auto st, std::size_t len) {
+    T acc = z;
+    stream::apply(std::move(st), len,
+                  [&acc, &step](const auto& x) { step(acc, x); });
+    return acc;
+  };
+  return detail::combine_blocks(bid_of(as_seq(s)), body, combine, z);
 }
 
 // scan — the showpiece: phases 1-2 are eager but touch only O(#blocks)

@@ -214,35 +214,6 @@ class budget_scope {
   std::int64_t bytes_;
 };
 
-// Jittered exponential backoff: delay for the `attempt`-th retry (0-based)
-// of base `base_us`, doubled per attempt, with deterministic ±50% jitter
-// drawn from splitmix64(salt ^ attempt). Seeded jitter keeps retry
-// schedules de-correlated across concurrent jobs (no thundering herd when
-// a budget refusal hits many pipelines at once) while staying a pure
-// function of (salt, attempt), so a replay makes the same decisions.
-[[nodiscard]] inline std::int64_t jittered_backoff_us(int attempt,
-                                                      std::int64_t base_us,
-                                                      std::uint64_t salt) {
-  if (base_us <= 0) return 0;
-  std::uint64_t z = salt ^ (static_cast<std::uint64_t>(attempt) + 1) *
-                               0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  // base_us is caller-supplied; saturate the doubled nominal at a sane
-  // ceiling instead of shifting a huge base into signed overflow.
-  constexpr std::int64_t kMaxBackoffUs = 600'000'000;  // 10 min per retry
-  const int shift = attempt < 20 ? attempt : 20;
-  std::int64_t nominal = base_us >= (kMaxBackoffUs >> shift)
-                             ? kMaxBackoffUs
-                             : base_us << shift;
-  // jitter in [-nominal/2, +nominal/2)
-  std::int64_t jitter =
-      static_cast<std::int64_t>(z % static_cast<std::uint64_t>(nominal)) -
-      nominal / 2;
-  return nominal + jitter;
-}
-
 // Run `f`, retrying on budget_exceeded after an exponential-backoff drain
 // (the configured number of times). The first rung of the degradation
 // ladder: a refusal may be transient pressure from a concurrent pipeline

@@ -145,32 +145,19 @@ template <typename Seq>
   return rad_shared(std::move(arr));
 }
 
-// reduce: two-phase blocked, input fused through the index function.
+// reduce and fold: the full library's, on the blocks the full library's
+// bid_of reads the RAD through (as filter below), so the input is fused
+// and blocked exactly as in A and Ours, and never materialized.
 template <typename F, typename T, typename Seq>
 [[nodiscard]] T reduce(const F& f, T z, const Seq& s) {
-  auto r = as_seq(s);
-  std::size_t n = r.n;
-  if (n == 0) return z;
-  std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
-  if (nb == 1) {
-    T acc = z;
-    for (std::size_t i = 0; i < n; ++i) acc = f(acc, r[i]);
-    return acc;
-  }
-  auto sums = parray<T>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
-        T acc = z;
-        for (std::size_t i = lo; i < hi; ++i) acc = f(acc, r[i]);
-        return acc;
-      },
-      1);
-  T acc = z;
-  for (std::size_t j = 0; j < nb; ++j) acc = f(acc, sums[j]);
-  return acc;
+  return delayed::reduce(f, std::move(z), delayed::bid_of(as_seq(s)));
+}
+
+template <typename Step, typename C, typename T, typename Seq>
+[[nodiscard]] T fold(const Step& step, const C& combine, T z,
+                     const Seq& s) {
+  return delayed::fold(step, combine, std::move(z),
+                       delayed::bid_of(as_seq(s)));
 }
 
 // scan: three-phase blocked; input fused, output MATERIALIZED (no BID).

@@ -20,6 +20,7 @@
 #include "benchmarks/bignum_add.hpp"
 #include "benchmarks/grep.hpp"
 #include "benchmarks/integrate.hpp"
+#include "benchmarks/inverted_index.hpp"
 #include "benchmarks/linearrec.hpp"
 #include "benchmarks/linefit.hpp"
 #include "benchmarks/mcss.hpp"
@@ -194,6 +195,17 @@ std::vector<diff_case> build_cases() {
     auto arr = P::to_array(std::move(picked));
     digest d;
     put_all(d, arr);
+    return d;
+  }));
+
+  // Appended after the pipelines so the earlier cases keep their indices.
+  cases.push_back(make_diff_case("kernel/inv_index", []<typename P>() {
+    auto got = bench::build_index<P>(text::random_lines(6000, 40.0, 6.0));
+    digest d;
+    for (const auto& b : got) {
+      put(d, static_cast<double>(b.postings));
+      put(d, static_cast<double>(b.doc_hash % (1ull << 52)));
+    }
     return d;
   }));
 

@@ -290,8 +290,9 @@ TEST(FaultInjection, ProbabilityModeLeakFreeAcrossSeeds) {
 
 // --- accumulators with real destructors ---------------------------------------
 //
-// reduce, scan and scan_inclusive materialize their block sums, scan its
-// partials and to_array its output through one guarded construction loop.
+// reduce, fold, scan and scan_inclusive materialize their block sums,
+// scan its partials and to_array its output through one guarded
+// construction loop.
 // An accumulator whose every value construction allocates through the
 // tracker puts injected faults inside element construction too (a block
 // sum mid-fold, a partial, an output element), not only on the arrays; a
@@ -349,6 +350,15 @@ std::int64_t boxed_scan_inclusive() {
       delayed::scan_inclusive(boxed_plus, boxed(1), boxed_input()));
 }
 
+// A step that allocates (a fresh boxed per element), so the sweep also
+// throws from inside a block's fold, with the block's accumulator live.
+std::int64_t boxed_fold() {
+  return delayed::fold(
+             [](boxed& acc, const boxed& x) { acc = boxed_plus(acc, x); },
+             boxed_plus, boxed(1), boxed_input())
+      .get();
+}
+
 // Fail every allocation of a fault-free run in turn: each run returns the
 // right result or throws bad_alloc, and after each one bytes_live and the
 // live accumulator count are back at their baselines.
@@ -387,6 +397,7 @@ TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeSequential) {
   sweep_boxed(boxed_reduce, "reduce");
   sweep_boxed(boxed_scan, "scan");
   sweep_boxed(boxed_scan_inclusive, "scan_inclusive");
+  sweep_boxed(boxed_fold, "fold");
 }
 
 TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeRealPool) {
@@ -394,6 +405,7 @@ TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeRealPool) {
   sweep_boxed(boxed_reduce, "reduce");
   sweep_boxed(boxed_scan, "scan");
   sweep_boxed(boxed_scan_inclusive, "scan_inclusive");
+  sweep_boxed(boxed_fold, "fold");
 }
 
 // --- a predicate that throws with survivors staged ----------------------------

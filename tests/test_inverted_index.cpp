@@ -1,4 +1,4 @@
-// Tests for the inverted-index workload (scan -> zip -> filterOp -> apply
+// Tests for the inverted-index workload (scan -> zip -> filterOp -> fold
 // fusion chain) across all three libraries.
 #include <gtest/gtest.h>
 
