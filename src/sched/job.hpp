@@ -32,12 +32,11 @@ class job {
   job(const job&) = delete;
   job& operator=(const job&) = delete;
 
-  // Returns whether the payload failed. The executing worker must take
-  // the status from the return value, not from failed(): the done_ store
-  // is the job's last breath — the joiner may observe it, return, and pop
-  // the frame the job lives in, so touching *this afterwards is a
-  // use-after-free on another thread's stack.
-  bool execute() noexcept {
+  // The done_ store is the job's last breath: the joiner may observe it,
+  // return, and pop the frame the job lives in, so the executing worker
+  // touching *this afterwards is a use-after-free on another thread's
+  // stack.
+  void execute() noexcept {
     // Adopt the forker's region for the duration: nested forks inside the
     // payload (possibly on a thief's thread) must share its cancel_state.
     cancel_state* saved = detail::tl_cancel;
@@ -53,9 +52,7 @@ class job {
     // else: a sibling already failed — skip the payload (the cheap bail at
     // a fork boundary) but still finish, so the joiner wakes up.
     detail::tl_cancel = saved;
-    const bool did_fail = eptr_ != nullptr;
     done_.store(true, std::memory_order_release);
-    return did_fail;
   }
 
   [[nodiscard]] bool finished() const noexcept {
@@ -63,8 +60,7 @@ class job {
   }
 
   // Valid only on the joining thread (which owns the job's frame) once
-  // finished() has returned true; executors use execute()'s return value.
-  [[nodiscard]] bool failed() const noexcept { return eptr_ != nullptr; }
+  // finished() has returned true.
   [[nodiscard]] std::exception_ptr exception() const noexcept {
     return eptr_;
   }

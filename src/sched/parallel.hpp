@@ -93,7 +93,7 @@ void fork2join_impl(L&& left, R&& right) {
     // inline on this worker instead of aborting. Stack growth stays
     // bounded by the recursion that got us here; no work is lost, the
     // branch merely isn't stealable. execute captures its own throw.
-    if (right_job.execute()) s.note_subtree_failure();
+    right_job.execute();
   }
   std::exception_ptr left_err;
   try {
@@ -104,7 +104,6 @@ void fork2join_impl(L&& left, R&& right) {
     // join; the rethrow happens after right_job is resolved.
     left_err = std::current_exception();
     cs->capture(left_err);
-    s.note_subtree_failure();
   }
   if (pushed) {
     sched::job* popped = s.try_pop();
@@ -114,10 +113,8 @@ void fork2join_impl(L&& left, R&& right) {
       // it). Had right_job been executed inline instead of pushed, this
       // pop would hand us an *enclosing* frame's job — hence the guard.
       assert(popped == &right_job);
-      // execute captures its own throw (skips the payload if cancelled);
-      // whoever runs a job notes its failure, so stolen failures are noted
-      // by the thief in worker_loop / wait_until.
-      if (popped->execute()) s.note_subtree_failure();
+      // execute captures its own throw (skips the payload if cancelled).
+      popped->execute();
     } else {
       s.wait_until(&right_job);
     }

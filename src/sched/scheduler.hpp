@@ -9,15 +9,16 @@
 // This is the substrate for the paper's single parallel primitive `apply`
 // (Fig. 7), exposed here as fork2join / parallel_for (see parallel.hpp).
 //
-// Workers back off exponentially (yield, then short sleeps) when no work is
-// found, so an over-provisioned pool does not burn a core per idle worker.
+// A join never sleeps: while its job is unfinished the joiner steals, and
+// when there is nothing to steal it yields and re-checks, so the critical
+// path of every `apply` resumes as soon as a stolen branch finishes. Only
+// idle workers back off exponentially (yield, then short sleeps), so an
+// over-provisioned pool does not burn a core per idle worker.
 //
 // Failure behavior (DESIGN.md §"Failure semantics"): jobs capture their own
-// exceptions (job.hpp), so nothing ever unwinds through worker_loop; a
-// pool-wide failed-subtree counter keeps joins on failing regions from
-// falling into the long sleep backoff; and a thread-spawn failure in the
-// constructor shrinks the pool to the workers that actually started
-// instead of crashing.
+// exceptions (job.hpp), so nothing ever unwinds through worker_loop, and a
+// thread-spawn failure in the constructor shrinks the pool to the workers
+// that actually started instead of crashing.
 #pragma once
 
 #include <atomic>
@@ -162,18 +163,6 @@ class scheduler {
     return deques_[static_cast<unsigned>(detail::tl_worker_id)].pop_bottom();
   }
 
-  // Record that some branch of a fork tree failed (threw). Monotone
-  // observation counter: waiters snapshot it on entry and switch to a
-  // prompt yield-only drain once it moves, so a join on a cancelling
-  // subtree never parks in the long sleep backoff.
-  void note_subtree_failure() noexcept {
-    subtree_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t subtree_failures() const noexcept {
-    return subtree_failures_.load(std::memory_order_relaxed);
-  }
-
   // Sum of jobs executed to completion across all workers. Monotone; the
   // watchdog samples it each interval — a pool with pending joins whose
   // total stops moving is making no global progress.
@@ -221,12 +210,10 @@ class scheduler {
   //
   // Jobs always finish — job::execute marks completion even when the
   // payload throws or is skipped by cancellation — so finished() is a
-  // sound exit. The failed-subtree check only changes *how* we wait once
-  // a failure is recorded: drain eagerly instead of sleeping.
+  // sound exit. A joiner that finds nothing to steal yields and re-checks;
+  // it never sleeps in back_off, whose 20/200 µs sleeps would delay the
+  // join by up to their length after the stolen branch finished.
   void wait_until(const job* j) {
-    unsigned failures = 0;
-    const std::uint64_t failures_at_entry =
-        subtree_failures_.load(std::memory_order_relaxed);
     worker_stat& stat =
         stats_[static_cast<unsigned>(detail::tl_worker_id)];
     while (!j->finished()) {
@@ -238,23 +225,13 @@ class scheduler {
       stat.epoch.fetch_add(1, std::memory_order_relaxed);
       job* stolen = find_work();
       if (stolen != nullptr) {
-        // Failure status must come from the return value: once execute
-        // marks the job done, its owner may pop the frame it lives in.
-        //
         // No busy bracket here: the waiting thread is *inside* a join, so
         // quiesce() — which only runs between top-level regions — never
         // races with it. Only spawned workers publish busy.
-        if (stolen->execute()) note_subtree_failure();
+        stolen->execute();
         stat.jobs.fetch_add(1, std::memory_order_relaxed);
-        failures = 0;
-      } else if (subtree_failures_.load(std::memory_order_relaxed) !=
-                 failures_at_entry) {
-        // A subtree failed since we started waiting: the job we're
-        // joining is likely completing via cancellation bail-out. Spin
-        // politely; do not fall into the 200µs sleeps.
-        std::this_thread::yield();
       } else {
-        back_off(failures);
+        std::this_thread::yield();
       }
     }
   }
@@ -268,23 +245,21 @@ class scheduler {
       stat.epoch.fetch_add(1, std::memory_order_relaxed);
       job* j = find_work();
       if (j != nullptr) {
-        // execute never throws (captures into the job + cancel state) and
-        // returns the failure status — *j must not be touched afterwards,
-        // the joiner may already have reclaimed its frame.
+        // execute never throws (captures into the job + cancel state).
+        // *j must not be touched afterwards: the joiner may already have
+        // reclaimed its frame.
         //
         // The busy flag brackets the payload: quiesce() (below) waits for
         // every spawned worker to show busy == false, so the release store
         // on clearing makes the payload's memory effects (note_alloc /
         // note_free traffic) visible to the quiescing thread's acquire.
         stat.busy.store(true, std::memory_order_relaxed);
-        bool failed;
         {
           telemetry::trace_span span(telemetry::trace_kind::job, "job",
                                      static_cast<std::int64_t>(id));
-          failed = j->execute();
+          j->execute();
         }
         stat.busy.store(false, std::memory_order_release);
-        if (failed) note_subtree_failure();
         stat.jobs.fetch_add(1, std::memory_order_relaxed);
         failures = 0;
       } else {
@@ -313,6 +288,7 @@ class scheduler {
     return nullptr;
   }
 
+  // Idle workers only (worker_loop); a join yields instead (wait_until).
   static void back_off(unsigned& failures) {
     ++failures;
     if (failures < 16) {
@@ -332,7 +308,6 @@ class scheduler {
   std::vector<worker_stat> stats_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> subtree_failures_{0};
 };
 
 namespace detail {
@@ -520,9 +495,7 @@ class watchdog {
       slot->dump_worker_stats(stderr);
       std::fprintf(
           stderr,
-          "pbds:   subtree_failures=%llu bytes_live=%lld "
-          "budget_refusals=%llu\n",
-          static_cast<unsigned long long>(slot->subtree_failures()),
+          "pbds:   bytes_live=%lld budget_refusals=%llu\n",
           static_cast<long long>(memory::bytes_live()),
           static_cast<unsigned long long>(memory::budget_refusals()));
     }

@@ -338,23 +338,6 @@ TEST(ExceptionPropagation, PoolSurvivesRepeatedFailures) {
   expect_pool_clean();
 }
 
-TEST(ExceptionPropagation, SubtreeFailureCounterAdvances) {
-  unsigned workers_before = sched::num_workers();
-  if (workers_before < 2) sched::set_num_workers(4);
-  std::uint64_t before = sched::get_scheduler().subtree_failures();
-  try {
-    parallel_for(
-        0, 1 << 14, [](std::size_t i) {
-          if (i == 9'999) throw test_error{1};
-        },
-        8);
-  } catch (const test_error&) {
-  }
-  EXPECT_GT(sched::get_scheduler().subtree_failures(), before);
-  expect_pool_clean();
-  if (workers_before < 2) sched::set_num_workers(workers_before);
-}
-
 // --- leak freedom ------------------------------------------------------------
 
 TEST(ExceptionPropagation, NoLeaksWhenBranchesAllocateAndThrow) {
