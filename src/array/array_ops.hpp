@@ -4,22 +4,28 @@
 //
 // This layer serves two roles, exactly as in the paper:
 //  1. the no-fusion baseline the delayed library is compared against, and
-//  2. the internal array substrate of the delayed library itself (scan
-//     partials, filter offsets, forced intermediates).
+//  2. the internal array substrate of the delayed library itself (filter
+//     and flatten offsets, forced intermediates).
 //
-// All blocked operations (reduce/scan/filter/flatten) use the same global
-// block size as the delayed library so that the evaluation compares the
-// libraries under identical blocking and granularity.
+// The blocked operations (reduce, fold, scan, filter, filter_op) run the
+// skeleton the delayed library and R run (core/blocked.hpp), on the
+// array's own blocks read through pointer streams: the same global block
+// size, fork trees, allocations and combination order, so the evaluation
+// compares the libraries under identical blocking and granularity and
+// their results agree bit for bit.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "array/parray.hpp"
+#include "core/bid.hpp"
 #include "core/block.hpp"
+#include "core/blocked.hpp"
 #include "core/region.hpp"
 #include "memory/counting_allocator.hpp"
 #include "sched/parallel.hpp"
@@ -59,25 +65,16 @@ template <typename T, typename U>
 }
 
 namespace detail {
-// The two-phase blocked skeleton of reduce and fold (§2.2): block(lo, hi)
-// folds a[lo, hi) sequentially, in parallel across blocks; the nb
-// partials are then combined left to right from z. No partials array for
-// zero blocks or one.
-template <typename T, typename Block, typename C>
-[[nodiscard]] T combine_blocks(std::size_t n, const Block& block,
-                               const C& combine, const T& z) {
-  if (n == 0) return z;
+// The array's blocks as a BID of pointer streams: the input A hands to
+// the blocked skeleton. The array outlives every use (A is eager), so the
+// block function holds a raw pointer.
+template <typename T>
+[[nodiscard]] auto blocks(const parray<T>& a) {
   std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
-  auto block_j = [&](std::size_t j) {
-    std::size_t lo = j * blk;
-    return block(lo, lo + blk < n ? lo + blk : n);
-  };
-  if (nb == 1) return block_j(0);
-  parray<T> sums = parray<T>::tabulate(nb, block_j, /*granularity=*/1);
-  T acc = z;
-  for (std::size_t j = 0; j < nb; ++j) acc = combine(acc, sums[j]);
-  return acc;
+  const T* p = a.data();
+  return make_bid(a.size(), blk, [p, blk](std::size_t j) {
+    return stream::pointer_stream<T>{p + j * blk};
+  });
 }
 }  // namespace detail
 
@@ -85,13 +82,7 @@ template <typename T, typename Block, typename C>
 // identity z.
 template <typename F, typename T>
 [[nodiscard]] T reduce(const F& f, T z, const parray<T>& a) {
-  const T* p = a.data();
-  auto block = [&](std::size_t lo, std::size_t hi) {
-    T acc = z;
-    for (std::size_t i = lo; i < hi; ++i) acc = f(acc, p[i]);
-    return acc;
-  };
-  return detail::combine_blocks(a.size(), block, f, z);
+  return blocked::reduce_blocks(detail::blocks(a), f, z);
 }
 
 // a.fold — reduce with an accumulator type T that may differ from the
@@ -101,103 +92,25 @@ template <typename F, typename T>
 template <typename Step, typename C, typename T, typename U>
 [[nodiscard]] T fold(const Step& step, const C& combine, T z,
                      const parray<U>& a) {
-  const U* p = a.data();
-  auto block = [&](std::size_t lo, std::size_t hi) {
-    T acc = z;
-    for (std::size_t i = lo; i < hi; ++i) step(acc, p[i]);
-    return acc;
-  };
-  return detail::combine_blocks(a.size(), block, combine, z);
+  return blocked::fold_blocks(detail::blocks(a), step, combine, z);
 }
-
-namespace detail {
-// Exclusive scan of the (small) per-block sums array, done sequentially
-// since the number of blocks is proportional to parallelism, not n.
-template <typename F, typename T>
-std::pair<parray<T>, T> scan_partials(const F& f, T z, parray<T>& sums) {
-  std::size_t nb = sums.size();
-  T acc = z;
-  parray<T> partials = parray<T>::uninitialized(nb);
-  for (std::size_t j = 0; j < nb; ++j) {
-    ::new (partials.data() + j) T(acc);
-    acc = f(acc, sums[j]);
-  }
-  return {std::move(partials), acc};
-}
-}  // namespace detail
 
 // a.scan — exclusive scan via the three-phase blocked algorithm
-// [Chatterjee et al. 1990], Fig. 2. Returns (prefix array, total).
+// [Chatterjee et al. 1990], Fig. 2, with phase 3 materialized. Returns
+// (prefix array, total).
 template <typename F, typename T>
 [[nodiscard]] std::pair<parray<T>, T> scan(const F& f, T z,
                                            const parray<T>& a) {
-  std::size_t n = a.size();
-  if (n == 0) return {parray<T>(), z};
-  std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
-  const T* p = a.data();
-  // Phase 1: per-block sums.
-  parray<T> sums = parray<T>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
-        T acc = z;
-        for (std::size_t i = lo; i < hi; ++i) acc = f(acc, p[i]);
-        return acc;
-      },
-      1);
-  // Phase 2: scan the sums.
-  auto [partials, total] = detail::scan_partials(f, z, sums);
-  // Phase 3: re-read input, scan within blocks from the block offsets.
-  parray<T> out = parray<T>::uninitialized(n);
-  T* q = out.data();
-  const T* off = partials.data();
-  apply(nb, [&, q, off](std::size_t j) {
-    std::size_t lo = j * blk;
-    std::size_t hi = lo + blk < n ? lo + blk : n;
-    T acc = off[j];
-    for (std::size_t i = lo; i < hi; ++i) {
-      ::new (q + i) T(acc);
-      acc = f(acc, p[i]);
-    }
-  });
-  return {std::move(out), total};
+  return blocked::scan_blocks<stream::scan_stream>(detail::blocks(a), f, z,
+                                                   blocked::materialized);
 }
 
 // Inclusive variant: out[i] = f(...f(f(z, a[0]), a[1])..., a[i]).
 template <typename F, typename T>
 [[nodiscard]] std::pair<parray<T>, T> scan_inclusive(const F& f, T z,
                                                      const parray<T>& a) {
-  std::size_t n = a.size();
-  if (n == 0) return {parray<T>(), z};
-  std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
-  const T* p = a.data();
-  parray<T> sums = parray<T>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        std::size_t hi = lo + blk < n ? lo + blk : n;
-        T acc = z;
-        for (std::size_t i = lo; i < hi; ++i) acc = f(acc, p[i]);
-        return acc;
-      },
-      1);
-  auto [partials, total] = detail::scan_partials(f, z, sums);
-  parray<T> out = parray<T>::uninitialized(n);
-  T* q = out.data();
-  const T* off = partials.data();
-  apply(nb, [&, q, off](std::size_t j) {
-    std::size_t lo = j * blk;
-    std::size_t hi = lo + blk < n ? lo + blk : n;
-    T acc = off[j];
-    for (std::size_t i = lo; i < hi; ++i) {
-      acc = f(acc, p[i]);
-      ::new (q + i) T(acc);
-    }
-  });
-  return {std::move(out), total};
+  return blocked::scan_blocks<stream::scan_inclusive_stream>(
+      detail::blocks(a), f, z, blocked::materialized);
 }
 
 namespace detail {
@@ -238,10 +151,9 @@ template <typename SizeFn>
     std::size_t count, const SizeFn& size_of) {
   auto sizes = parray<std::size_t>::tabulate(count, size_of);
   auto offsets = parray<std::size_t>::uninitialized(count + 1);
-  // Blocked parallel scan over the sizes (count can be large for flatten).
-  auto [pre, total] =
-      scan([](std::size_t x, std::size_t y) { return x + y; },
-           std::size_t{0}, sizes);
+  // Blocked parallel scan over the sizes (count can be large for flatten);
+  // a named plus, so every size_offsets shares one scan instantiation.
+  auto [pre, total] = scan(std::plus<std::size_t>{}, std::size_t{0}, sizes);
   std::size_t* q = offsets.data();
   const std::size_t* p = pre.data();
   parallel_for(0, count, [q, p](std::size_t i) { q[i] = p[i]; });
@@ -249,29 +161,25 @@ template <typename SizeFn>
   return {std::move(offsets), total};
 }
 
+namespace detail {
+// Ragged pieces copied into one contiguous array: offsets by a scan of
+// the piece sizes, then uniform output blocks copied in parallel.
+template <typename Pieces>
+[[nodiscard]] auto concat(const Pieces& pieces) {
+  auto [offsets, m] = size_offsets(
+      pieces.size(), [&](std::size_t k) { return pieces[k].size(); });
+  return concat_pieces(pieces, offsets, m);
+}
+}  // namespace detail
+
 // a.filter — blocked two-phase filter (§2.2): pack survivors within each
-// block (stream::pack over the block's memory), then flatten the packed
-// blocks into a contiguous output array.
+// block, then flatten the packed blocks into a contiguous output array.
 template <typename P, typename T>
 [[nodiscard]] parray<T> filter(const P& p, const parray<T>& a) {
-  std::size_t n = a.size();
-  std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
-  const T* src = a.data();
-  using buffer = memory::tracked_vector<T>;
-  auto packed = parray<buffer>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        buffer out;
-        stream::pack(stream::pointer_stream<T>{src + lo},
-                     lo + blk < n ? blk : n - lo, p, out);
-        return out;
-      },
-      1);
-  auto [offsets, m] =
-      size_offsets(nb, [&](std::size_t j) { return packed[j].size(); });
-  return detail::concat_pieces(packed, offsets, m);
+  return detail::concat(blocked::pack_blocks<T>(
+      detail::blocks(a), [&p](auto st, std::size_t len, auto& out) {
+        stream::pack(std::move(st), len, p, out);
+      }));
 }
 
 // a.filterOp / mapMaybe — filter and transform in one pass; f returns
@@ -279,33 +187,17 @@ template <typename P, typename T>
 template <typename F, typename T>
 [[nodiscard]] auto filter_op(const F& f, const parray<T>& a) {
   using U = typename std::invoke_result_t<const F&, const T&>::value_type;
-  std::size_t n = a.size();
-  std::size_t blk = block_size();
-  std::size_t nb = num_blocks_for(n, blk);
-  const T* src = a.data();
-  using buffer = memory::tracked_vector<U>;
-  auto packed = parray<buffer>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        std::size_t lo = j * blk;
-        buffer out;
-        stream::pack_op(stream::pointer_stream<T>{src + lo},
-                        lo + blk < n ? blk : n - lo, f, out);
-        return out;
-      },
-      1);
-  auto [offsets, m] =
-      size_offsets(nb, [&](std::size_t j) { return packed[j].size(); });
-  return detail::concat_pieces(packed, offsets, m);
+  return detail::concat(blocked::pack_blocks<U>(
+      detail::blocks(a), [&f](auto st, std::size_t len, auto& out) {
+        stream::pack_op(std::move(st), len, f, out);
+      }));
 }
 
 // a.flatten — scan the inner lengths for offsets, then copy uniform output
 // blocks in parallel (Fig. 3). `Inner` needs size() and operator[].
 template <typename Inner>
 [[nodiscard]] auto flatten(const parray<Inner>& nested) {
-  auto [offsets, m] = size_offsets(
-      nested.size(), [&](std::size_t k) { return nested[k].size(); });
-  return detail::concat_pieces(nested, offsets, m);
+  return detail::concat(nested);
 }
 
 // Effectful traversal.

@@ -25,6 +25,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <new>
 #include <optional>
@@ -35,6 +36,7 @@
 #include "array/parray.hpp"
 #include "core/bid.hpp"
 #include "core/block.hpp"
+#include "core/blocked.hpp"
 #include "core/rad.hpp"
 #include "core/region.hpp"
 #include "memory/counting_allocator.hpp"
@@ -178,84 +180,12 @@ void apply_each(const Seq& s, const G& g) {
   });
 }
 
-// The one blocked construction loop. Every terminal op that materializes
-// blocks runs it: to_array and force, phase 1 of reduce and scan, and
-// phase 2 of scan.
-namespace detail {
-
-// Construct every block of `bd` into the uninitialized slots dst[0, bd.n),
-// in parallel across blocks.
-//
-// The loop is exception tolerant under the same gate and discipline as
-// parray::tabulate (an injector armed, or T has a real destructor): a
-// throw from the block function or an element evaluation is captured
-// inside the block body, the rest of the block is default-constructed so
-// the storage stays uniformly destructible, and the first exception is
-// rethrown after the join — so a bad_alloc (injected or real) propagates
-// without leaking. The guarded loop runs under a cancel_shield — the
-// region-level bail-out would skip whole blocks and leave slots
-// unconstructed — and once `err` triggers, remaining blocks skip stream
-// evaluation. Otherwise each block is one bulk drain (gated; contiguous
-// sources lower to one memcpy), and a throw unwinds through the region
-// cancellation protocol, leaving trivially destructible slots that need
-// no repair.
-template <typename Bid>
-void fill_blocks(const Bid& bd, typename Bid::value_type* dst) {
-  using T = typename Bid::value_type;
-  const std::size_t blk = bd.block_size;
-  if constexpr (std::is_nothrow_default_constructible_v<T>) {
-    if (!std::is_trivially_destructible_v<T> ||
-        memory::fault_injection_armed()) {
-      sched::cancel_shield shield;
-      memory::first_exception err;
-      apply(bd.num_blocks(), [&, dst](std::size_t j) {
-        T* out = dst + j * blk;
-        std::size_t len = bd.block_length(j);
-        std::size_t k = 0;
-        if (!err.triggered()) {
-          try {
-            auto st = bd.block(j);
-            for (; k < len; ++k) ::new (out + k) T(st.next());
-            return;
-          } catch (...) {
-            err.capture();
-          }
-        }
-        for (; k < len; ++k) ::new (out + k) T();
-      });
-      err.rethrow_if_set();
-      return;
-    }
-  }
-  apply(bd.num_blocks(), [&, dst](std::size_t j) {
-    auto st = bd.block(j);
-    stream::drain_into(st, dst + j * blk, bd.block_length(j));
-  });
-}
-
-}  // namespace detail
-
-// toArray (Fig. 9 lines 9-14): materialize into a fresh array. Rather than
-// zipping with an index RAD as in the figure, each block writes at its own
-// offset — the same traversal without manufacturing index pairs.
-//
-// Budget-aware entry point (memory/budget.hpp): under an active byte
-// budget a refused materialization is retried after exponential-backoff
-// drains before the refusal propagates. Retrying re-invokes the block
-// functions, which the BID contract already requires to be pure; pipelines
-// whose *construction* is effectful (filter_op's compare-and-swap
-// predicates) had their effects run eagerly when the pipeline was built,
-// not here.
+// toArray (Fig. 9 lines 9-14): materialize into a fresh array, through
+// the one blocked construction loop (blocked::fill_blocks), retried under
+// an active byte budget (blocked::materialize).
 template <typename Seq>
 [[nodiscard]] auto to_array(const Seq& s) {
-  auto bd = bid_of(as_seq(s));
-  auto materialize = [&] {
-    auto out = parray<typename decltype(bd)::value_type>::uninitialized(bd.n);
-    detail::fill_blocks(bd, out.data());
-    return out;
-  };
-  if (memory::budget_active()) return memory::budget_retry(materialize);
-  return materialize();
+  return blocked::materialize(bid_of(as_seq(s)));
 }
 
 // force (Fig. 9 line 16): evaluate everything now; the result is a RAD
@@ -269,100 +199,23 @@ template <typename Seq>
 }
 
 // --- reduce, fold and scan (Fig. 10 lines 28-40) ----------------------------
-
-namespace detail {
-
-// Phase 1: the block sums as a BID of nb one-element blocks, element j
-// being body(input block j's stream, its length) — block j folded, fused
-// with whatever produced the input. Materializing it runs the
-// parallel_for(0, nb, ·, 1) tree of tabulating the sums.
-template <typename Bid, typename Body>
-[[nodiscard]] auto block_sums(const Bid& bd, Body body) {
-  auto sum = [&bd, body](std::size_t j) {
-    return body(bd.block(j), bd.block_length(j));
-  };
-  return make_bid(bd.num_blocks(), 1, [sum](std::size_t j) {
-    return stream::tabulate_stream<decltype(sum)>{sum, j};
-  });
-}
-
-// The block body of reduce and of scan's phase 1: stream::reduce's value
-// chain, z = f(z, x), which keeps the accumulator in registers.
-template <typename F, typename T>
-[[nodiscard]] auto reduce_body(const F& f, const T& z) {
-  return [&f, &z](auto st, std::size_t len) {
-    return stream::reduce(std::move(st), len, f, z);
-  };
-}
-
-// The blocked skeleton of reduce and fold: phase 1 folds each block with
-// `body`, phase 2 combines the nb partials left to right from z. No
-// blocks: z. One block: its fold, with no partials array — this matters
-// for nested parallelism (e.g. sparse-mxv's per-row reduces), where the
-// delayed version must not allocate per row.
-template <typename Bid, typename Body, typename C, typename T>
-[[nodiscard]] T combine_blocks(const Bid& bd, const Body& body,
-                               const C& combine, const T& z) {
-  std::size_t nb = bd.num_blocks();
-  if (nb == 0) return z;
-  if (nb == 1) return body(bd.block(0), bd.block_length(0));
-  T acc = z;
-  for (const T& x : to_array(block_sums(bd, body))) acc = combine(acc, x);
-  return acc;
-}
-
-// Phases 2-3 of scan; the two scans differ only in the output Stream.
-// Phase 2 is the exclusive scan of the sums: one sequential block (nb is
-// small) through fill_blocks, so a throwing f or copy leaves placeholders,
-// not holes. Phase 3 is *delayed* — output block j is a Stream over a
-// fresh copy of input block j seeded with partial P[j]. Returns
-// (sequence, total).
-template <template <typename, typename> class Stream, typename F,
-          typename T, typename Seq>
-[[nodiscard]] auto scan_with(const F& f, const T& z, const Seq& s) {
-  auto bd = bid_of(as_seq(s));
-  const parray<T> sums = to_array(block_sums(bd, reduce_body(f, z)));
-  std::size_t nb = sums.size();
-  auto offsets = make_bid(nb, nb == 0 ? 1 : nb, [&](std::size_t) {
-    return stream::scan_stream{stream::pointer_stream<T>{sums.data()}, f, z};
-  });
-  auto partials = std::make_shared<parray<T>>(parray<T>::uninitialized(nb));
-  fill_blocks(offsets, partials->data());
-  T total = z;
-  if (nb > 0) total = f((*partials)[nb - 1], sums[nb - 1]);
-  auto block_fn = [b = bd.b, partials, f](std::size_t j) {
-    return Stream<typename decltype(bd)::stream_type, std::decay_t<F>>{
-        b(j), f, (*partials)[j]};
-  };
-  return std::pair(make_bid(bd.n, bd.block_size, std::move(block_fn)),
-                   total);
-}
-
-}  // namespace detail
+//
+// The blocked skeleton A and R run too (core/blocked.hpp), on the BID of
+// the input, so the input fuses into phase 1.
 
 // reduce: phase 1 eagerly folds each block; phase 2 folds the partials.
 template <typename F, typename T, typename Seq>
 [[nodiscard]] T reduce(const F& f, T z, const Seq& s) {
-  return detail::combine_blocks(bid_of(as_seq(s)), detail::reduce_body(f, z),
-                                f, z);
+  return blocked::reduce_blocks(bid_of(as_seq(s)), f, z);
 }
 
 // fold: reduce with an accumulator type T that may differ from the
-// element type. Each block starts from a copy of z and runs the in-place
-// step(acc, x) on its elements in order; the block partials are then
-// combined left to right with combine(acc, partial), which must be
-// associative with identity z. Blocking, the empty and one-block cases
-// and the nb-partials allocation are reduce's.
+// element type (see blocked::fold); blocking, the empty and one-block
+// cases and the nb-partials allocation are reduce's.
 template <typename Step, typename C, typename T, typename Seq>
 [[nodiscard]] T fold(const Step& step, const C& combine, T z,
                      const Seq& s) {
-  auto body = [&step, &z](auto st, std::size_t len) {
-    T acc = z;
-    stream::apply(std::move(st), len,
-                  [&acc, &step](const auto& x) { step(acc, x); });
-    return acc;
-  };
-  return detail::combine_blocks(bid_of(as_seq(s)), body, combine, z);
+  return blocked::fold_blocks(bid_of(as_seq(s)), step, combine, z);
 }
 
 // scan — the showpiece: phases 1-2 are eager but touch only O(#blocks)
@@ -370,13 +223,15 @@ template <typename Step, typename C, typename T, typename Seq>
 // Exclusive scan; returns (sequence, total).
 template <typename F, typename T, typename Seq>
 [[nodiscard]] auto scan(const F& f, T z, const Seq& s) {
-  return detail::scan_with<stream::scan_stream>(f, z, s);
+  return blocked::scan_blocks<stream::scan_stream>(bid_of(as_seq(s)), f, z,
+                                                   std::identity{});
 }
 
 // Inclusive variant (out[i] includes element i).
 template <typename F, typename T, typename Seq>
 [[nodiscard]] auto scan_inclusive(const F& f, T z, const Seq& s) {
-  return detail::scan_with<stream::scan_inclusive_stream>(f, z, s);
+  return blocked::scan_blocks<stream::scan_inclusive_stream>(
+      bid_of(as_seq(s)), f, z, std::identity{});
 }
 
 // --- filter / filterOp (Fig. 10 lines 48-53) -----------------------------------
@@ -390,6 +245,15 @@ piece_offsets(const Pieces& pieces) {
       pieces.size(), [&](std::size_t k) { return pieces[k].size(); });
   return {std::make_shared<parray<std::size_t>>(std::move(offsets)), m};
 }
+
+// filter's and filter_op's result: the packed blocks as a BID of blk-sized
+// blocks walking them via getRegion.
+template <typename Buffer>
+[[nodiscard]] auto region_of(parray<Buffer> packed, std::size_t blk) {
+  auto pieces = std::make_shared<parray<Buffer>>(std::move(packed));
+  auto [offsets, m] = piece_offsets(*pieces);
+  return region_bid(std::move(pieces), std::move(offsets), m, blk);
+}
 }  // namespace detail
 
 // Pack survivors within each block (eager, fused with the input), then
@@ -398,20 +262,13 @@ piece_offsets(const Pieces& pieces) {
 template <typename P, typename Seq>
 [[nodiscard]] auto filter(const P& p, const Seq& s) {
   auto bd = bid_of(as_seq(s));
-  using T = typename decltype(bd)::value_type;
-  std::size_t nb = bd.num_blocks();
-  using buffer = memory::tracked_vector<T>;
-  auto packed = std::make_shared<parray<buffer>>(parray<buffer>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        buffer out;
-        stream::pack(bd.block(j), bd.block_length(j), p, out);
-        return out;
-      },
-      1));
-  auto [offsets, m] = detail::piece_offsets(*packed);
-  return region_bid(std::move(packed), std::move(offsets), m,
-                    bd.block_size);
+  return detail::region_of(
+      blocked::pack_blocks<typename decltype(bd)::value_type>(
+          bd,
+          [&p](auto st, std::size_t len, auto& out) {
+            stream::pack(std::move(st), len, p, out);
+          }),
+      bd.block_size);
 }
 
 // filterOp / mapMaybe: f : T -> optional<U>; keeps and unwraps the engaged
@@ -423,19 +280,12 @@ template <typename F, typename Seq>
   auto bd = bid_of(as_seq(s));
   using T = typename decltype(bd)::value_type;
   using U = typename std::invoke_result_t<const F&, T>::value_type;
-  std::size_t nb = bd.num_blocks();
-  using buffer = memory::tracked_vector<U>;
-  auto packed = std::make_shared<parray<buffer>>(parray<buffer>::tabulate(
-      nb,
-      [&](std::size_t j) {
-        buffer out;
-        stream::pack_op(bd.block(j), bd.block_length(j), f, out);
-        return out;
-      },
-      1));
-  auto [offsets, m] = detail::piece_offsets(*packed);
-  return region_bid(std::move(packed), std::move(offsets), m,
-                    bd.block_size);
+  return detail::region_of(
+      blocked::pack_blocks<U>(bd,
+                              [&f](auto st, std::size_t len, auto& out) {
+                                stream::pack_op(std::move(st), len, f, out);
+                              }),
+      bd.block_size);
 }
 
 // --- flatten (Fig. 10 lines 44-47) ---------------------------------------------
@@ -461,9 +311,8 @@ struct flatten_stream {
   using value_type =
       std::decay_t<decltype(std::declval<const inner_type&>()[0])>;
   // Materialized-mode next_n copies runs of the inner sequences — data
-  // movement, so consumers may stage it (stream::direct_bulk_v); either
+  // movement, so consumers may stage it (stream::staging_wins_v); either
   // mode beats per-element next(), which re-checks inner bounds per pull.
-  static constexpr bool direct_bulk = true;
   static constexpr bool staging_profitable = true;
 
   const parray<inner_type>* pieces;  // non-null selects materialized mode

@@ -65,7 +65,6 @@ inline long long env_integer(const char* name, long long lo, long long hi,
 inline constexpr const char* kKnownEnvKnobs[] = {
     "PBDS_NUM_THREADS",
     "PBDS_SEED",
-    "PBDS_NO_BULK",
     "PBDS_BUDGET_BYTES",
     "PBDS_WATCHDOG_MS",
     "PBDS_METRICS",

@@ -33,9 +33,8 @@ struct region_stream {
   using value_type =
       std::decay_t<decltype(std::declval<const piece_type&>()[0])>;
   // next_n copies materialized runs — data movement, so consumers profit
-  // from staging it (stream::direct_bulk_v). Per-element next() pays a
+  // from staging it (stream::staging_wins_v). Per-element next() pays a
   // piece-bound check per pull, so staging wins outright.
-  static constexpr bool direct_bulk = true;
   static constexpr bool staging_profitable = true;
 
   const Pieces* pieces;

@@ -22,7 +22,7 @@
 // each invocation manufactures a fresh stream, so block functions must be
 // pure.
 //
-// --- bulk advance (next_n / drain_into) --------------------------------------
+// --- bulk advance (next_n) and the element loop ----------------------------
 //
 // On top of next(), streams may implement a *bulk* protocol:
 //
@@ -32,12 +32,18 @@
 // and leaving the stream positioned so a later next()/next_n continues
 // where the bulk call stopped. The payoff (cf. indexed/bulk iterator
 // interfaces in stream-fusion work): contiguous sources lower to
-// memcpy/uninitialized_copy per block, and stateful shapes (map, zip,
-// scan) run tight raw-pointer loops over a small stack staging buffer
-// instead of threading per-element state through `this`. Consumers go
-// through the gated free functions stream::next_n / stream::drain_into,
-// which fall back to an element-at-a-time loop whenever a stream has no
-// native bulk path or bulk execution is disabled (below).
+// memcpy/uninitialized_copy per block, and materialized runs (region and
+// flatten streams) copy run by run instead of re-checking piece bounds
+// per element. Code that materializes blocks goes through the gated free
+// function stream::next_n, which falls back to an element-at-a-time loop
+// whenever a stream has no native bulk path or bulk execution is disabled
+// (below).
+//
+// Everything that reads a stream element by element — the consumers
+// reduce, apply and pack, and the next_n of map and of the two scans —
+// runs one loop, detail::each: raw pointer reads for a contiguous source,
+// staged runs for a data-movement source, next() otherwise and whenever
+// the gate is off. Only its two fast-path branches read the gate.
 //
 // Bulk paths batch the *evaluation order* of source elements within a
 // block (e.g. zip pulls a chunk of its left side, then a chunk of its
@@ -59,7 +65,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/env.hpp"
 #include "memory/counting_allocator.hpp"
 #include "memory/tracking.hpp"
 
@@ -68,27 +73,17 @@ namespace pbds::stream {
 // --- bulk gate ---------------------------------------------------------------
 
 namespace detail {
-// Default on; PBDS_NO_BULK=1 disables for A/B runs and CI ablations.
-inline bool& bulk_flag() {
-  static bool enabled =
-      pbds::detail::env_integer("PBDS_NO_BULK", 0, 1, 0) == 0;
-  return enabled;
-}
+// On unless a scoped_bulk_disable is live. A plain global, so reading the
+// gate is one load: an environment-initialized function-local static here
+// made loops that read it spill their accumulators to the stack.
+inline bool g_bulk_enabled = true;
 }  // namespace detail
-
-// Re-read PBDS_NO_BULK from the current environment (not thread-safe;
-// call only while no parallel work is in flight — the scoped_env
-// contract in tests/differential.hpp).
-inline void reload_bulk_from_env() {
-  detail::bulk_flag() =
-      pbds::detail::env_integer("PBDS_NO_BULK", 0, 1, 0) == 0;
-}
 
 // True when specialized bulk paths may run. The fault injector arms the
 // exception-tolerance machinery, which requires per-element evaluation
 // (see header comment), so arming it forces the generic fallback.
 [[nodiscard]] inline bool bulk_enabled() {
-  return detail::bulk_flag() && !memory::fault_injection_armed();
+  return detail::g_bulk_enabled && !memory::fault_injection_armed();
 }
 
 // RAII forcing of the element-at-a-time fallback; the differential
@@ -97,10 +92,10 @@ inline void reload_bulk_from_env() {
 // Not thread-safe to toggle while parallel work is in flight.
 class scoped_bulk_disable {
  public:
-  scoped_bulk_disable() : saved_(detail::bulk_flag()) {
-    detail::bulk_flag() = false;
+  scoped_bulk_disable() : saved_(detail::g_bulk_enabled) {
+    detail::g_bulk_enabled = false;
   }
-  ~scoped_bulk_disable() { detail::bulk_flag() = saved_; }
+  ~scoped_bulk_disable() { detail::g_bulk_enabled = saved_; }
   scoped_bulk_disable(const scoped_bulk_disable&) = delete;
   scoped_bulk_disable& operator=(const scoped_bulk_disable&) = delete;
 
@@ -120,26 +115,16 @@ concept bulk_source =
 template <typename T>
 inline constexpr bool stageable_v = std::is_trivially_copyable_v<T>;
 
-// Streams whose next_n is pure data *movement* (memcpy of contiguous
-// memory or of materialized runs) rather than a staged recomputation.
-// Consumers and adapters only profit from bulk-advancing these: staging a
-// compute stream (tabulate/map/zip/scan) through a buffer adds a memory
-// round-trip the fused element-at-a-time loop does not have, and measures
-// up to 1.6x *slower* on reduce-heavy kernels. Producers opt in with
-// `static constexpr bool direct_bulk = true;`.
-template <typename S>
-inline constexpr bool direct_bulk_v = requires {
-  requires bool(S::direct_bulk);
-};
-
-// The subset of direct_bulk sources whose per-element next() carries real
-// overhead that next_n removes (piece-bound checks in region walks, run
+// Data-movement sources whose per-element next() carries real overhead
+// that next_n removes (piece-bound checks in region walks, run
 // materialization in flatten). Staging such a source through a stack
 // buffer beats pulling it element-at-a-time, so adapters over it may
-// advertise direct_bulk themselves, extending the staged path up the
-// pipeline. pointer_stream is deliberately NOT in this set: its next() is
-// already a raw load, so propagation through adapters would reintroduce
-// the compute-staging slowdown on fused register loops.
+// declare the trait themselves, extending the staged path up the
+// pipeline. Producers opt in with
+// `static constexpr bool staging_profitable = true;`. pointer_stream is
+// deliberately NOT in this set: its next() is already a raw load, so
+// propagation through adapters would reintroduce the compute-staging
+// slowdown on fused register loops (direct_bulk_v, below).
 template <typename S>
 inline constexpr bool staging_wins_v = requires {
   requires bool(S::staging_profitable);
@@ -199,7 +184,6 @@ tabulate_stream(F, std::size_t) -> tabulate_stream<F>;
 template <typename T>
 struct pointer_stream {
   using value_type = T;
-  static constexpr bool direct_bulk = true;
   const T* p;
 
   value_type next() { return *p++; }
@@ -225,6 +209,57 @@ struct is_pointer_stream<pointer_stream<T>> : std::true_type {};
 template <typename S>
 inline constexpr bool is_pointer_stream_v = is_pointer_stream<S>::value;
 
+// Streams whose next_n is pure data *movement* (memcpy of contiguous
+// memory or of materialized runs) rather than a staged recomputation.
+// Consumers and adapters only profit from bulk-advancing these: staging a
+// compute stream (tabulate/map/zip/scan) through a buffer adds a memory
+// round-trip the fused element-at-a-time loop does not have, and measures
+// up to 1.6x *slower* on reduce-heavy kernels.
+template <typename S>
+inline constexpr bool direct_bulk_v =
+    is_pointer_stream_v<S> || staging_wins_v<S>;
+
+namespace detail {
+
+// The one element loop: for the next n elements x of s, in order,
+// a = step(a, x); returns the final a and leaves s positioned after those
+// elements. The loop-carried state travels by value (an accumulator, a
+// write cursor) so it stays in registers; a consumer with no state passes
+// a dummy. A contiguous block is read straight from memory and a
+// data-movement source in staged runs of kStageBytes; a compute source
+// (tabulate/map/zip/scan) is pulled with next(), the fused per-element
+// loop that already keeps everything in registers, and so is every
+// source while the gate is off. Only the two fast paths read the gate.
+template <typename S, typename A, typename Step>
+A each(S& s, std::size_t n, A a, const Step& step) {
+  using T = typename S::value_type;
+  if constexpr (is_pointer_stream_v<S>) {
+    if (bulk_enabled()) {
+      const T* in = s.p;
+      for (std::size_t k = 0; k < n; ++k) a = step(a, in[k]);
+      s.p += n;
+      return a;
+    }
+  } else if constexpr (bulk_source<S> && stageable_v<T> &&
+                       direct_bulk_v<S>) {
+    if (bulk_enabled()) {
+      stage_buffer<T> buf;
+      while (n > 0) {
+        std::size_t c = n < buf.capacity ? n : buf.capacity;
+        s.next_n(buf.data(), c);
+        const T* in = buf.data();
+        for (std::size_t k = 0; k < c; ++k) a = step(a, in[k]);
+        n -= c;
+      }
+      return a;
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) a = step(a, s.next());
+  return a;
+}
+
+}  // namespace detail
+
 // s.map
 template <typename S, typename G>
 struct map_stream {
@@ -233,43 +268,20 @@ struct map_stream {
   // A map over a source that wins by staging wins by staging itself:
   // next_n runs the source's bulk path and applies g out of the stage
   // buffer, so consumers may in turn stage the map.
-  static constexpr bool direct_bulk =
+  static constexpr bool staging_profitable =
       bulk_source<S> && stageable_v<typename S::value_type> &&
       staging_wins_v<S>;
-  static constexpr bool staging_profitable = direct_bulk;
   S s;
   G g;
 
   value_type next() { return g(s.next()); }
 
   void next_n(value_type* dst, std::size_t n) {
-    using src_t = typename S::value_type;
-    if constexpr (is_pointer_stream_v<S>) {
-      // Contiguous source: map straight out of memory, no staging.
-      const src_t* in = s.p;
-      for (std::size_t k = 0; k < n; ++k)
-        ::new (static_cast<void*>(dst + k)) value_type(g(in[k]));
-      s.p += n;
-    } else if constexpr (bulk_source<S> && stageable_v<src_t> &&
-                         direct_bulk_v<S>) {
-      // Data-movement source (region/flatten runs): stage chunks, then
-      // map with a tight two-pointer loop.
-      stage_buffer<src_t> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const src_t* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k)
-          ::new (static_cast<void*>(dst + k)) value_type(g(in[k]));
-        dst += c;
-        n -= c;
-      }
-    } else {
-      // Compute source: the fused per-element loop already keeps
-      // everything in registers; staging would only add traffic.
-      for (std::size_t k = 0; k < n; ++k)
-        ::new (static_cast<void*>(dst + k)) value_type(g(s.next()));
-    }
+    detail::each(s, n, dst, [this](value_type* d, auto&& x) {
+      ::new (static_cast<void*>(d))
+          value_type(g(std::forward<decltype(x)>(x)));
+      return d + 1;
+    });
   }
 };
 
@@ -285,13 +297,12 @@ struct zip_stream {
   // wins by staging (both must still be bulk-capable and stageable). A
   // zip of two pointer streams stays on the fused per-element loop —
   // staging it measured up to 1.3x slower on reduce-heavy kernels.
-  static constexpr bool direct_bulk =
+  static constexpr bool staging_profitable =
       bulk_source<S1> && bulk_source<S2> &&
       stageable_v<typename S1::value_type> &&
       stageable_v<typename S2::value_type> && direct_bulk_v<S1> &&
       direct_bulk_v<S2> &&
       (staging_wins_v<S1> || staging_wins_v<S2>);
-  static constexpr bool staging_profitable = direct_bulk;
   S1 a;
   S2 b;
 
@@ -355,35 +366,12 @@ struct scan_stream {
   }
 
   void next_n(value_type* dst, std::size_t n) {
-    value_type a = std::move(acc);  // keep the accumulator in a register
-    if constexpr (is_pointer_stream_v<S>) {
-      const value_type* in = s.p;
-      for (std::size_t k = 0; k < n; ++k) {
-        ::new (static_cast<void*>(dst + k)) value_type(a);
-        a = f(a, in[k]);
-      }
-      s.p += n;
-    } else if constexpr (bulk_source<S> && stageable_v<value_type> &&
-                         direct_bulk_v<S>) {
-      stage_buffer<value_type> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const value_type* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k) {
-          ::new (static_cast<void*>(dst + k)) value_type(a);
-          a = f(a, in[k]);
-        }
-        dst += c;
-        n -= c;
-      }
-    } else {
-      for (std::size_t k = 0; k < n; ++k) {
-        ::new (static_cast<void*>(dst + k)) value_type(a);
-        a = f(a, s.next());
-      }
-    }
-    acc = std::move(a);
+    // The accumulator travels through the loop by value, in a register.
+    acc = detail::each(s, n, std::move(acc),
+                       [&dst, this](const value_type& a, auto&& x) {
+                         ::new (static_cast<void*>(dst++)) value_type(a);
+                         return f(a, std::forward<decltype(x)>(x));
+                       });
   }
 };
 
@@ -404,35 +392,12 @@ struct scan_inclusive_stream {
   }
 
   void next_n(value_type* dst, std::size_t n) {
-    value_type a = std::move(acc);
-    if constexpr (is_pointer_stream_v<S>) {
-      const value_type* in = s.p;
-      for (std::size_t k = 0; k < n; ++k) {
-        a = f(a, in[k]);
-        ::new (static_cast<void*>(dst + k)) value_type(a);
-      }
-      s.p += n;
-    } else if constexpr (bulk_source<S> && stageable_v<value_type> &&
-                         direct_bulk_v<S>) {
-      stage_buffer<value_type> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const value_type* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k) {
-          a = f(a, in[k]);
-          ::new (static_cast<void*>(dst + k)) value_type(a);
-        }
-        dst += c;
-        n -= c;
-      }
-    } else {
-      for (std::size_t k = 0; k < n; ++k) {
-        a = f(a, s.next());
-        ::new (static_cast<void*>(dst + k)) value_type(a);
-      }
-    }
-    acc = std::move(a);
+    acc = detail::each(s, n, std::move(acc),
+                       [&dst, this](const value_type& a, auto&& x) {
+                         value_type b = f(a, std::forward<decltype(x)>(x));
+                         ::new (static_cast<void*>(dst++)) value_type(b);
+                         return b;
+                       });
   }
 };
 
@@ -459,73 +424,24 @@ inline void next_n(S& s, typename S::value_type* dst, std::size_t n) {
     ::new (static_cast<void*>(dst + k)) T(s.next());
 }
 
-// Whole-block variant: streams do not know their length (it lives in the
-// enclosing BID), so the caller passes the block length explicitly.
-template <typename S>
-inline void drain_into(S& s, typename S::value_type* dst, std::size_t len) {
-  next_n(s, dst, len);
-}
-
 // --- consumers (linear work) ----------------------------------------------
 
-// s.reduce: fold n elements with z as the leftmost operand. Bulk paths
-// only fire for data-movement sources: a contiguous block folds straight
-// over the raw pointer, a region/flatten block stages memcpy runs and
-// folds over the buffer. Compute streams (tabulate/map/zip/scan) stay on
-// the fused per-element loop, which is already register-resident.
+// s.reduce: fold n elements with z as the leftmost operand, as the value
+// chain z = f(z, x).
 template <typename S, typename F, typename T>
 T reduce(S s, std::size_t n, const F& f, T z) {
-  using src_t = typename S::value_type;
-  if constexpr (is_pointer_stream_v<S>) {
-    if (bulk_enabled()) {
-      const src_t* in = s.p;
-      for (std::size_t k = 0; k < n; ++k) z = f(z, in[k]);
-      return z;
-    }
-  } else if constexpr (bulk_source<S> && stageable_v<src_t> &&
-                       direct_bulk_v<S>) {
-    if (bulk_enabled()) {
-      stage_buffer<src_t> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const src_t* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k) z = f(z, in[k]);
-        n -= c;
-      }
-      return z;
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) z = f(z, s.next());
-  return z;
+  return detail::each(s, n, std::move(z), [&f](const T& a, auto&& x) {
+    return f(a, std::forward<decltype(x)>(x));
+  });
 }
 
-// s.applyStream: run g on each of the n elements, for effect. Same
-// gating as reduce: fast paths are for data movement only.
+// s.applyStream: run g on each of the n elements, for effect.
 template <typename S, typename G>
 void apply(S s, std::size_t n, const G& g) {
-  using src_t = typename S::value_type;
-  if constexpr (is_pointer_stream_v<S>) {
-    if (bulk_enabled()) {
-      const src_t* in = s.p;
-      for (std::size_t k = 0; k < n; ++k) g(in[k]);
-      return;
-    }
-  } else if constexpr (bulk_source<S> && stageable_v<src_t> &&
-                       direct_bulk_v<S>) {
-    if (bulk_enabled()) {
-      stage_buffer<src_t> buf;
-      while (n > 0) {
-        std::size_t c = n < buf.capacity ? n : buf.capacity;
-        s.next_n(buf.data(), c);
-        const src_t* in = buf.data();
-        for (std::size_t k = 0; k < c; ++k) g(in[k]);
-        n -= c;
-      }
-      return;
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) g(s.next());
+  detail::each(s, n, 0, [&g](int, auto&& x) {
+    g(std::forward<decltype(x)>(x));
+    return 0;
+  });
 }
 
 // --- pack (s.packToArray) -------------------------------------------------
@@ -541,56 +457,32 @@ struct staged_range {
   ~staged_range() { std::destroy(first, last); }
 };
 
-// The one pack loop (filter and filter_op in A, R and Ours). The block is
-// consumed in chunks of at most the stage's capacity: keep(x, dst)
-// constructs x's survivor at dst and returns true, or returns false, and
-// each chunk's survivors are then moved to the end of out. A block that
-// fits one chunk therefore allocates once, exactly its survivor count,
-// and a block with no survivors not at all; later chunks grow out at
-// least geometrically. The stream and the write cursor stay locals of
-// the loop. Source access follows reduce: raw pointer reads for a
-// contiguous block, staged input runs for a data-movement source, next()
-// otherwise and whenever the bulk gate is off. keep sees the elements in
-// the same order, once each, and out makes the same allocations on every
-// path (the fast-vs-generic oracle checks both).
+// The one pack loop (filter and filter_op in A, R and Ours, through
+// blocked::pack_blocks). The block is consumed in chunks of at most the
+// stage's capacity: keep(x, dst) constructs x's survivor at dst and
+// returns true, or returns false, and each chunk's survivors are then
+// moved to the end of out. A block that fits one chunk therefore
+// allocates once, exactly its survivor count, and a block with no
+// survivors not at all; later chunks grow out at least geometrically.
+// The stream and the write cursor stay locals of the loop. Each chunk is
+// read through the element loop, so keep sees the elements in the same
+// order, once each, and out makes the same allocations on every path
+// (the fast-vs-generic oracle checks both).
 template <typename S, typename U, typename Keep>
 void pack_into(S s, std::size_t n, const Keep& keep,
                memory::tracked_vector<U>& out) {
-  using T = typename S::value_type;
   stage_buffer<U, kPackStageBytes> stage;
   U* const first = stage.data();
-  [[maybe_unused]] const bool bulk = bulk_enabled();
   while (n > 0) {
     const std::size_t c = n < stage.capacity ? n : stage.capacity;
     U* cur = first;
     staged_range<U> staged{first, cur};
-    bool pulled = false;
-    if constexpr (is_pointer_stream_v<S>) {
-      if (bulk) {
-        const T* in = s.p;
-        for (std::size_t k = 0; k < c; ++k)
-          if (keep(in[k], cur)) ++cur;
-        s.p += c;
-        pulled = true;
-      }
-    } else if constexpr (bulk_source<S> && stageable_v<T> &&
-                         direct_bulk_v<S>) {
-      if (bulk) {
-        stage_buffer<T> buf;
-        for (std::size_t left = c; left > 0;) {
-          std::size_t r = left < buf.capacity ? left : buf.capacity;
-          s.next_n(buf.data(), r);
-          const T* in = buf.data();
-          for (std::size_t k = 0; k < r; ++k)
-            if (keep(in[k], cur)) ++cur;
-          left -= r;
-        }
-        pulled = true;
-      }
-    }
-    if (!pulled)
-      for (std::size_t k = 0; k < c; ++k)
-        if (keep(s.next(), cur)) ++cur;
+    // cur stays a variable the unwinder sees (staged_range), not loop
+    // state.
+    each(s, c, 0, [&keep, &cur](int, auto&& x) {
+      if (keep(std::forward<decltype(x)>(x), cur)) ++cur;
+      return 0;
+    });
     if (cur != first) {
       const auto kept = static_cast<std::size_t>(cur - first);
       if (out.capacity() - out.size() < kept)

@@ -90,7 +90,6 @@ class scoped_env {
   // silently stops isolating it (test_telemetry asserts the budget one).
   static void reload_env_caches() {
     memory::reload_budget_limit_from_env();
-    stream::reload_bulk_from_env();
     telemetry::reload_metrics_from_env();
     telemetry::reload_trace_from_env();
   }

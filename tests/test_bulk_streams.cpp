@@ -1,5 +1,5 @@
 // Property-based equivalence of the bulk stream protocol (PR 6):
-// next_n / drain_into must be observationally identical to repeated
+// next_n must be observationally identical to repeated
 // next(), for every stream shape the library manufactures — including
 // randomized chunk partitions with zero-length chunks, ragged tail
 // blocks, and non-trivially-destructible element types.
@@ -68,7 +68,7 @@ class raw_slots {
 // --- the core property -------------------------------------------------------
 
 // For every block of `bd`: the generic element-at-a-time protocol, a
-// whole-block drain_into, and a randomly chunked sequence of next_n calls
+// whole-block next_n, and a randomly chunked sequence of next_n calls
 // (chunks may be zero-length) must produce identical elements.
 template <typename Bid>
 void expect_block_bulk_equivalence(const Bid& bd, random::rng gen) {
@@ -88,11 +88,12 @@ void expect_block_bulk_equivalence(const Bid& bd, random::rng gen) {
     {
       raw_slots<T> got(len);
       auto st = bd.block(j);
-      stream::drain_into(st, got.data(), len);
+      stream::next_n(st, got.data(), len);
       got.mark_constructed(len);
       for (std::size_t k = 0; k < len; ++k) {
         ASSERT_EQ(got.data()[k], want[k])
-            << "drain_into mismatch at block " << j << " index " << k;
+            << "whole-block next_n mismatch at block " << j << " index "
+            << k;
       }
     }
     // Random chunk partition, including zero-length chunks, mixing bulk

@@ -291,8 +291,8 @@ TEST(FaultInjection, ProbabilityModeLeakFreeAcrossSeeds) {
 // --- accumulators with real destructors ---------------------------------------
 //
 // reduce, fold, scan and scan_inclusive materialize their block sums,
-// scan its partials and to_array its output through one guarded
-// construction loop.
+// scan its partials and output through one guarded construction loop,
+// in A, R and Ours alike.
 // An accumulator whose every value construction allocates through the
 // tracker puts injected faults inside element construction too (a block
 // sum mid-fold, a partial, an output element), not only on the arrays; a
@@ -321,41 +321,45 @@ boxed boxed_plus(const boxed& a, const boxed& b) {
 constexpr std::size_t kBoxedN = 64;
 constexpr std::size_t kBoxedBlk = 8;
 
+template <typename P>
 auto boxed_input() {
-  return delayed::map(
+  return P::map(
       [](std::size_t i) { return boxed(static_cast<std::int64_t>(i % 7)); },
-      delayed::iota(kBoxedN));
+      P::iota(kBoxedN));
 }
 
+template <typename P>
 std::int64_t boxed_reduce() {
-  return delayed::reduce(boxed_plus, boxed(1), boxed_input()).get();
+  return P::reduce(boxed_plus, boxed(1), boxed_input<P>()).get();
 }
 
 // Folds the materialized scan output and the total into one checksum.
-template <typename Pair>
+template <typename P, typename Pair>
 std::int64_t boxed_checksum(const Pair& pr) {
-  auto arr = delayed::to_array(pr.first);
+  auto arr = P::to_array(pr.first);
   auto acc = static_cast<std::uint64_t>(pr.second.get());
   for (std::size_t i = 0; i < arr.size(); ++i)
     acc = acc * 31 + static_cast<std::uint64_t>(arr[i].get());
   return static_cast<std::int64_t>(acc);
 }
 
+template <typename P>
 std::int64_t boxed_scan() {
-  return boxed_checksum(delayed::scan(boxed_plus, boxed(1), boxed_input()));
+  return boxed_checksum<P>(P::scan(boxed_plus, boxed(1), boxed_input<P>()));
 }
 
+template <typename P>
 std::int64_t boxed_scan_inclusive() {
-  return boxed_checksum(
-      delayed::scan_inclusive(boxed_plus, boxed(1), boxed_input()));
+  return boxed_checksum<P>(
+      P::scan_inclusive(boxed_plus, boxed(1), boxed_input<P>()));
 }
 
 // A step that allocates (a fresh boxed per element), so the sweep also
 // throws from inside a block's fold, with the block's accumulator live.
+template <typename P>
 std::int64_t boxed_fold() {
-  return delayed::fold(
-             [](boxed& acc, const boxed& x) { acc = boxed_plus(acc, x); },
-             boxed_plus, boxed(1), boxed_input())
+  return P::fold([](boxed& acc, const boxed& x) { acc = boxed_plus(acc, x); },
+                 boxed_plus, boxed(1), boxed_input<P>())
       .get();
 }
 
@@ -392,20 +396,28 @@ void sweep_boxed(std::int64_t (*op)(), const char* name) {
   EXPECT_GT(faulted, 0) << name;
 }
 
+// The four sweeps through one library.
+template <typename P>
+void sweep_boxed_ops() {
+  SCOPED_TRACE(P::name);
+  sweep_boxed(boxed_reduce<P>, "reduce");
+  sweep_boxed(boxed_scan<P>, "scan");
+  sweep_boxed(boxed_scan_inclusive<P>, "scan_inclusive");
+  sweep_boxed(boxed_fold<P>, "fold");
+}
+
 TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeSequential) {
   sched::scoped_sequential seq;
-  sweep_boxed(boxed_reduce, "reduce");
-  sweep_boxed(boxed_scan, "scan");
-  sweep_boxed(boxed_scan_inclusive, "scan_inclusive");
-  sweep_boxed(boxed_fold, "fold");
+  sweep_boxed_ops<array_policy>();
+  sweep_boxed_ops<rad_policy>();
+  sweep_boxed_ops<delay_policy>();
 }
 
 TEST(FaultInjection, NonTrivialAccumulatorsLeakFreeRealPool) {
   ASSERT_EQ(sched::current_exec_mode(), sched::exec_mode::parallel);
-  sweep_boxed(boxed_reduce, "reduce");
-  sweep_boxed(boxed_scan, "scan");
-  sweep_boxed(boxed_scan_inclusive, "scan_inclusive");
-  sweep_boxed(boxed_fold, "fold");
+  sweep_boxed_ops<array_policy>();
+  sweep_boxed_ops<rad_policy>();
+  sweep_boxed_ops<delay_policy>();
 }
 
 // --- a predicate that throws with survivors staged ----------------------------
