@@ -318,8 +318,8 @@ cli parse_cli(int argc, char** argv) {
           "          [--retries N] [--metrics] [--metrics-overhead]\n"
           "          [--baseline REPORT.json] [--threshold X]\n"
           "          [--bytes-threshold X] [--inject-slowdown F]\n"
-          "--metrics dumps the telemetry registry (counters and the\n"
-          "bytes-live peak) after the run, into the --json extras when set\n"
+          "--metrics dumps the telemetry registry's counters after the\n"
+          "run, into the --json extras when set\n"
           "--metrics-overhead A/Bs the metrics-recording cost (registry\n"
           "on vs off) on a fused-reduce kernel and records\n"
           "overhead_ratio (CI gates it at 1.05)\n"
@@ -428,10 +428,9 @@ int run_baseline_mode(const cli& c) {
 
 // --- telemetry dump (--metrics) ------------------------------------------------
 
-// Print every non-zero registry counter and the bytes-live peak, and
-// (when a --json report is open) append one
-// "telemetry" row whose extras carry the full counter set — the CI
-// artifact a dashboard can scrape without parsing stdout.
+// Print every non-zero registry counter and (when a --json report is
+// open) append one "telemetry" row whose extras carry the full counter
+// set — the CI artifact a dashboard can scrape without parsing stdout.
 void dump_metrics(json_report* report) {
   auto snap = telemetry::snapshot();
   std::printf("-- telemetry registry --\n");
@@ -445,11 +444,6 @@ void dump_metrics(json_report* report) {
     extra.emplace_back(std::string("metrics.") + telemetry::counter_name(cnt),
                        static_cast<double>(v));
   }
-  if (snap.bytes_live_peak != 0)
-    std::printf("%-22s %14lld\n", "bytes_live_peak",
-                static_cast<long long>(snap.bytes_live_peak));
-  extra.emplace_back("metrics.bytes_live_peak",
-                     static_cast<double>(snap.bytes_live_peak));
   std::fflush(stdout);
   if (report) {
     measurement m{};

@@ -72,23 +72,11 @@ class parray {
   // For trivially destructible T the injector-off fast path is unchanged:
   // on a throw the skipped/garbage slots need no destruction and release()
   // still frees the buffer, so nothing leaks there either.
-  // Budget-aware entry point: under an active budget (budget.hpp) a
-  // refused tabulation is retried after an exponential-backoff drain —
-  // concurrent pipelines may be releasing memory — before the refusal
-  // propagates. The no-budget fast path is a single branch.
+  //
+  // A budget refusal (memory/budget.hpp) is one more such throw: it
+  // propagates once and f is never re-run.
   template <typename F>
   static parray tabulate(std::size_t n, F&& f, std::size_t granularity = 0) {
-    if (memory::budget_active()) {
-      return memory::budget_retry(
-          [&] { return tabulate_impl(n, f, granularity); });
-    }
-    return tabulate_impl(n, f, granularity);
-  }
-
- private:
-  template <typename F>
-  static parray tabulate_impl(std::size_t n, F&& f,
-                              std::size_t granularity) {
     parray a(n);
     T* p = a.data_;
     if constexpr (std::is_nothrow_default_constructible_v<T>) {
@@ -120,7 +108,6 @@ class parray {
     return a;
   }
 
- public:
   static parray filled(std::size_t n, const T& v) {
     return tabulate(n, [&](std::size_t) { return v; });
   }

@@ -21,7 +21,6 @@
 
 #include "array/parray.hpp"
 #include "core/bid.hpp"
-#include "memory/budget.hpp"
 #include "memory/counting_allocator.hpp"
 #include "memory/tracking.hpp"
 #include "sched/cancellation.hpp"
@@ -85,22 +84,12 @@ void fill_blocks(const Bid& bd, typename Bid::value_type* dst) {
 // toArray (Fig. 9 lines 9-14): materialize `bd` into a fresh array. Rather
 // than zipping with an index RAD as in the figure, each block writes at
 // its own offset — the same traversal without manufacturing index pairs.
-//
-// Budget-aware (memory/budget.hpp): under an active byte budget a refused
-// materialization is retried after exponential-backoff drains before the
-// refusal propagates. Retrying re-invokes the block functions, which the
-// BID contract already requires to be pure; pipelines whose
-// *construction* is effectful (filter_op's compare-and-swap predicates)
-// had their effects run eagerly when the pipeline was built, not here.
+// A budget refusal, of the array or inside a block, propagates once.
 template <typename Bid>
 [[nodiscard]] auto materialize(const Bid& bd) {
-  auto fill = [&bd] {
-    auto out = parray<typename Bid::value_type>::uninitialized(bd.n);
-    fill_blocks(bd, out.data());
-    return out;
-  };
-  if (memory::budget_active()) return memory::budget_retry(fill);
-  return fill();
+  auto out = parray<typename Bid::value_type>::uninitialized(bd.n);
+  fill_blocks(bd, out.data());
+  return out;
 }
 
 // materialize as a function object (scan_blocks' finish for A and R).

@@ -17,18 +17,15 @@
 //    phases 1 and 3, which is the deliberate recompute-vs-force tradeoff
 //    the cost semantics (§5) exposes;
 //  * materialized intermediates (scan partials, filter's packed blocks,
-//    flatten's offsets) are held by shared_ptr inside the returned BID's
-//    block function, so delayed sequences are self-contained values.
+//    flatten's forced inner sequences, and the offsets of both) are held
+//    by shared_ptr inside the returned BID's block function, so delayed
+//    sequences are self-contained values.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -181,8 +178,7 @@ void apply_each(const Seq& s, const G& g) {
 }
 
 // toArray (Fig. 9 lines 9-14): materialize into a fresh array, through
-// the one blocked construction loop (blocked::fill_blocks), retried under
-// an active byte budget (blocked::materialize).
+// the one blocked construction loop (blocked::fill_blocks).
 template <typename Seq>
 [[nodiscard]] auto to_array(const Seq& s) {
   return blocked::materialize(bid_of(as_seq(s)));
@@ -237,22 +233,18 @@ template <typename F, typename T, typename Seq>
 // --- filter / filterOp (Fig. 10 lines 48-53) -----------------------------------
 
 namespace detail {
-// Offsets (exclusive scan-plus of piece sizes) for the packed blocks.
-template <typename Pieces>
-[[nodiscard]] std::pair<std::shared_ptr<parray<std::size_t>>, std::size_t>
-piece_offsets(const Pieces& pieces) {
+// The result of filter, filter_op and flatten: ragged pieces (packed
+// blocks or forced inner sequences) and their offsets, the exclusive
+// scan-plus of the piece sizes, as a BID of blk-sized blocks walking the
+// pieces via getRegion.
+template <typename Piece>
+[[nodiscard]] auto region_of(parray<Piece> pieces, std::size_t blk) {
+  auto owned = std::make_shared<parray<Piece>>(std::move(pieces));
   auto [offsets, m] = array_ops::size_offsets(
-      pieces.size(), [&](std::size_t k) { return pieces[k].size(); });
-  return {std::make_shared<parray<std::size_t>>(std::move(offsets)), m};
-}
-
-// filter's and filter_op's result: the packed blocks as a BID of blk-sized
-// blocks walking them via getRegion.
-template <typename Buffer>
-[[nodiscard]] auto region_of(parray<Buffer> packed, std::size_t blk) {
-  auto pieces = std::make_shared<parray<Buffer>>(std::move(packed));
-  auto [offsets, m] = piece_offsets(*pieces);
-  return region_bid(std::move(pieces), std::move(offsets), m, blk);
+      owned->size(), [&](std::size_t k) { return (*owned)[k].size(); });
+  return region_bid(std::move(owned),
+                    std::make_shared<parray<std::size_t>>(std::move(offsets)),
+                    m, blk);
 }
 }  // namespace detail
 
@@ -290,188 +282,12 @@ template <typename F, typename Seq>
 
 // --- flatten (Fig. 10 lines 44-47) ---------------------------------------------
 
-namespace detail {
-
-// Stream over the concatenation of an outer sequence's inner sequences,
-// with two element-access modes sharing one type so flatten's eager and
-// bounded-memory paths return the same BID:
-//
-//  * materialized (`pieces` non-null): identical to region_stream — the
-//    inners were forced up front and are indexed directly;
-//  * recompute (`pieces` null): at most ONE inner sequence is live per
-//    stream at any time, re-materialized on demand from the outer BID's
-//    block streams. This is the recompute side of the paper's
-//    recompute-vs-force tradeoff (§5): peak space drops from "all inners"
-//    to one inner per in-flight output block, paid for by re-evaluating
-//    outer elements — positioning a stream mid-way into an outer block
-//    streams (and immediately discards) that block's preceding inners.
-template <typename OuterBid>
-struct flatten_stream {
-  using inner_type = typename OuterBid::value_type;
-  using value_type =
-      std::decay_t<decltype(std::declval<const inner_type&>()[0])>;
-  // Materialized-mode next_n copies runs of the inner sequences — data
-  // movement, so consumers may stage it (stream::staging_wins_v); either
-  // mode beats per-element next(), which re-checks inner bounds per pull.
-  static constexpr bool staging_profitable = true;
-
-  const parray<inner_type>* pieces;  // non-null selects materialized mode
-  const OuterBid* outer;             // recompute mode only
-  std::size_t k;  // current inner sequence
-  std::size_t i;  // position within inner k
-
-  // Recompute-mode state: the outer block stream currently open, the next
-  // outer index it will yield, and the single live inner.
-  std::optional<typename OuterBid::stream_type> st{};
-  std::size_t stream_j = 0;
-  std::size_t stream_next = 0;
-  std::optional<inner_type> cur{};
-  std::size_t cur_k = 0;
-
-  value_type next() {
-    if (pieces != nullptr) {
-      while (i >= (*pieces)[k].size()) {
-        ++k;
-        i = 0;
-      }
-      return (*pieces)[k][i++];
-    }
-    for (;;) {
-      if (!cur.has_value() || cur_k != k) materialize(k);
-      if (i < cur->size()) break;
-      ++k;
-      i = 0;
-    }
-    return (*cur)[i++];
-  }
-
-  // Bulk path. Materialized mode: run-copies across the forced inners,
-  // exactly as region_stream. Recompute mode: a linear subscript loop over
-  // each live inner — hoists the live-inner checks out of the per-element
-  // path and vectorizes index-function inners (e.g. a tabulated multiples
-  // sequence becomes one vector multiply per run).
-  void next_n(value_type* dst, std::size_t n) {
-    if (pieces != nullptr) {
-      while (n > 0) {
-        const auto& piece = (*pieces)[k];
-        std::size_t avail = piece.size() - std::min(i, piece.size());
-        if (avail == 0) {
-          ++k;
-          i = 0;
-          continue;
-        }
-        std::size_t c = n < avail ? n : avail;
-        if constexpr (requires(const inner_type& p) { p.data(); } &&
-                      std::is_trivially_copyable_v<value_type>) {
-          std::memcpy(static_cast<void*>(dst), piece.data() + i,
-                      c * sizeof(value_type));
-        } else {
-          for (std::size_t t = 0; t < c; ++t)
-            ::new (static_cast<void*>(dst + t)) value_type(piece[i + t]);
-        }
-        dst += c;
-        i += c;
-        n -= c;
-      }
-      return;
-    }
-    while (n > 0) {
-      if (!cur.has_value() || cur_k != k) materialize(k);
-      std::size_t sz = cur->size();
-      if (i >= sz) {
-        ++k;
-        i = 0;
-        continue;
-      }
-      std::size_t c = n < sz - i ? n : sz - i;
-      const inner_type& in = *cur;
-      for (std::size_t t = 0; t < c; ++t)
-        ::new (static_cast<void*>(dst + t)) value_type(in[i + t]);
-      dst += c;
-      i += c;
-      n -= c;
-    }
-  }
-
-  void materialize(std::size_t target) {
-    std::size_t j = target / outer->block_size;
-    if (!st.has_value() || stream_j != j || stream_next > target) {
-      st.emplace(outer->block(j));
-      stream_j = j;
-      stream_next = j * outer->block_size;
-    }
-    // Keep at most one inner alive: drop the old one before streaming
-    // forward, and let skipped inners die as temporaries.
-    cur.reset();
-    while (stream_next < target) {
-      (void)st->next();
-      ++stream_next;
-    }
-    cur.emplace(st->next());
-    ++stream_next;
-    cur_k = target;
-  }
-};
-
-// Package the flattened view as a BID of m total elements. `pieces` may be
-// null (recompute mode); `outer` is always carried so both modes share one
-// block-function type. Offsets as in region_bid: pieces->size() + 1
-// entries, back() == m.
-template <typename OuterBid>
-[[nodiscard]] auto flatten_bid(
-    std::shared_ptr<parray<typename OuterBid::value_type>> pieces,
-    OuterBid outer, std::shared_ptr<parray<std::size_t>> offsets,
-    std::size_t m, std::size_t blk) {
-  auto block_fn = [pieces = std::move(pieces), outer = std::move(outer),
-                   offsets = std::move(offsets), blk](std::size_t j) {
-    std::size_t start = j * blk;
-    const std::size_t* base = offsets->data();
-    std::size_t k = static_cast<std::size_t>(
-        std::upper_bound(base, base + offsets->size(), start) - base - 1);
-    return flatten_stream<OuterBid>{pieces.get(), &outer, k,
-                                    start - base[k]};
-  };
-  return make_bid(m, blk, std::move(block_fn));
-}
-
-// Bounded-memory flatten (ISSUE 3 degradation path): instead of forcing
-// every inner sequence at once, walk the outer sequence one block at a
-// time with one transient inner live, recording only the sizes (8 bytes
-// per outer element); the returned BID re-materializes inners on demand.
-template <typename OuterBid>
-[[nodiscard]] auto flatten_chunked(const OuterBid& obd) {
-  using inner_type = typename OuterBid::value_type;
-  std::size_t outer_n = obd.n;
-  auto sizes = parray<std::size_t>::uninitialized(outer_n);
-  std::size_t nb = obd.num_blocks();
-  for (std::size_t j = 0; j < nb; ++j) {
-    auto st = obd.block(j);
-    std::size_t base = j * obd.block_size;
-    std::size_t len = obd.block_length(j);
-    for (std::size_t kk = 0; kk < len; ++kk) {
-      inner_type x = st.next();
-      ::new (sizes.data() + base + kk) std::size_t(x.size());
-    }
-  }
-  auto [off, m] = array_ops::size_offsets(
-      outer_n, [p = sizes.data()](std::size_t idx) { return p[idx]; });
-  auto offsets = std::make_shared<parray<std::size_t>>(std::move(off));
-  return flatten_bid<OuterBid>(nullptr, obd, std::move(offsets), m,
-                               block_size());
-}
-
-}  // namespace detail
-
 // Force the outer sequence to an array of random-access inner sequences,
 // scan the lengths for offsets, and expose the concatenation as a BID
-// walking the inner sequences via getRegion (Fig. 3). Eager work is
-// proportional to the *outer* length only; the per-block binary searches
-// and all element evaluation are delayed.
-//
-// Under an active memory budget (memory/budget.hpp), if forcing all the
-// inners is refused even after the retry ladder, flatten degrades to the
-// recompute mode above instead of failing: the pipeline completes within
-// the budget at the cost of re-evaluating inner sequences on demand.
+// walking the inner sequences via getRegion (Fig. 3), as filter does.
+// Eager work is proportional to the *outer* length only; the per-block
+// binary searches and all element evaluation are delayed. The result
+// holds the inners and their offsets, not the outer sequence.
 template <typename Seq>
 [[nodiscard]] auto flatten(const Seq& s) {
   auto outer = as_seq(s);
@@ -480,17 +296,7 @@ template <typename Seq>
     // Inner sequences must be random-access (Fig. 10 line 45 forces them).
     return flatten(map([](const inner_type& b) { return force(b); }, outer));
   } else {
-    auto obd = bid_of(outer);
-    using outer_bid = decltype(obd);
-    try {
-      auto inners = std::make_shared<parray<inner_type>>(to_array(obd));
-      auto [offsets, m] = detail::piece_offsets(*inners);
-      return detail::flatten_bid<outer_bid>(std::move(inners), obd,
-                                            std::move(offsets), m,
-                                            block_size());
-    } catch (const budget_exceeded&) {
-      return detail::flatten_chunked(obd);
-    }
+    return detail::region_of(to_array(outer), block_size());
   }
 }
 

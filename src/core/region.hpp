@@ -1,14 +1,16 @@
 // getRegion (Fig. 10 lines 41-43): streaming a uniform output block out of
 // a ragged array-of-sequences.
 //
-// filter and flatten both end up with a collection of variable-length
-// random-access pieces (packed per-block survivor buffers, or the inner
-// sequences of a nested sequence) plus an offsets array saying where each
-// piece starts in the flat output. To expose the result as a BID, block j
-// of the output is a stream that (1) binary-searches the offsets for the
-// piece containing position j*B, then (2) walks left-to-right across
-// adjacent pieces (Fig. 3). The binary search is *delayed* — it happens
-// only if/when the block is actually demanded downstream.
+// filter, filter_op and flatten all end up with a collection of
+// variable-length random-access pieces (packed per-block survivor
+// buffers, or the forced inner sequences of a nested sequence) plus an
+// offsets array saying where each piece starts in the flat output. To
+// expose the result as a BID, block j of the output is a stream that (1)
+// binary-searches the offsets for the piece containing position j*B, then
+// (2) walks left-to-right across adjacent pieces (Fig. 3). The binary
+// search is *delayed* — it happens only if/when the block is actually
+// demanded downstream. region_stream is the library's one stream over
+// ragged pieces.
 #pragma once
 
 #include <algorithm>

@@ -18,26 +18,21 @@
 // could overcommit; with the reservation they cannot — the governor is
 // byte-exact even under the real pool.
 //
-// Degradation ladder (DESIGN.md §7): a refused materialization is first
-// retried after an exponential-backoff drain (concurrent pipelines may be
-// releasing memory), and flatten falls back to bounded-chunk recompute
-// materialization (delayed.hpp) before the refusal is surfaced.
+// A refusal is not retried and has no fallback: every operation lets it
+// propagate once, to the caller of the pipeline (DESIGN.md §7).
 #pragma once
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "core/env.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace pbds {
 
@@ -135,10 +130,6 @@ inline std::atomic<std::int64_t> g_budget_reserved{0};
 // Total refusals, for tests and the watchdog's diagnostic dump.
 inline std::atomic<std::int64_t> g_budget_refusals{0};
 
-// Drain/backoff retry policy for budget-aware materialization paths.
-inline std::atomic<int> g_budget_retries{2};
-inline std::atomic<std::int64_t> g_budget_backoff_us{50};
-
 }  // namespace detail
 
 // The enforced limit: min of the base limit and every active
@@ -167,16 +158,6 @@ inline void reload_budget_limit_from_env() {
 
 [[nodiscard]] inline std::int64_t budget_refusals() {
   return detail::g_budget_refusals.load(std::memory_order_relaxed);
-}
-
-// Configure the drain/backoff ladder used by budget_retry: `retries`
-// re-attempts, sleeping `backoff_us << attempt` microseconds before each,
-// giving concurrently-finishing pipelines a chance to release memory.
-inline void set_budget_retry_policy(int retries, std::int64_t backoff_us) {
-  detail::g_budget_retries.store(retries < 0 ? 0 : retries,
-                                 std::memory_order_relaxed);
-  detail::g_budget_backoff_us.store(backoff_us < 0 ? 0 : backoff_us,
-                                    std::memory_order_relaxed);
 }
 
 // RAII budget: tightens the enforced limit to min(enclosing, bytes) for
@@ -213,29 +194,6 @@ class budget_scope {
  private:
   std::int64_t bytes_;
 };
-
-// Run `f`, retrying on budget_exceeded after an exponential-backoff drain
-// (the configured number of times). The first rung of the degradation
-// ladder: a refusal may be transient pressure from a concurrent pipeline
-// that is about to release its intermediates. `f` must be safe to re-run
-// from scratch (every materialization path here is: a refused attempt
-// unwinds with bytes_live back at its entry value).
-template <typename F>
-auto budget_retry(const F& f) -> decltype(f()) {
-  int attempts = detail::g_budget_retries.load(std::memory_order_relaxed);
-  std::int64_t backoff =
-      detail::g_budget_backoff_us.load(std::memory_order_relaxed);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return f();
-    } catch (const budget_exceeded&) {
-      if (attempt >= attempts) throw;
-      telemetry::count(telemetry::counter::budget_retries);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(backoff << attempt));
-    }
-  }
-}
 
 }  // namespace memory
 }  // namespace pbds

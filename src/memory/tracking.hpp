@@ -59,7 +59,6 @@ inline void note_alloc(std::size_t bytes) {
          !detail::g_bytes_peak.compare_exchange_weak(
              peak, live, std::memory_order_relaxed)) {
   }
-  telemetry::observe_peak_bytes(live);
 }
 
 inline void note_free(std::size_t bytes) {

@@ -32,9 +32,9 @@
 // and leaving the stream positioned so a later next()/next_n continues
 // where the bulk call stopped. The payoff (cf. indexed/bulk iterator
 // interfaces in stream-fusion work): contiguous sources lower to
-// memcpy/uninitialized_copy per block, and materialized runs (region and
-// flatten streams) copy run by run instead of re-checking piece bounds
-// per element. Code that materializes blocks goes through the gated free
+// memcpy/uninitialized_copy per block, and materialized runs (region
+// streams) copy run by run instead of re-checking piece bounds per
+// element. Code that materializes blocks goes through the gated free
 // function stream::next_n, which falls back to an element-at-a-time loop
 // whenever a stream has no native bulk path or bulk execution is disabled
 // (below).
@@ -116,11 +116,10 @@ template <typename T>
 inline constexpr bool stageable_v = std::is_trivially_copyable_v<T>;
 
 // Data-movement sources whose per-element next() carries real overhead
-// that next_n removes (piece-bound checks in region walks, run
-// materialization in flatten). Staging such a source through a stack
-// buffer beats pulling it element-at-a-time, so adapters over it may
-// declare the trait themselves, extending the staged path up the
-// pipeline. Producers opt in with
+// that next_n removes (piece-bound checks in region walks). Staging such
+// a source through a stack buffer beats pulling it element-at-a-time, so
+// adapters over it may declare the trait themselves, extending the staged
+// path up the pipeline. Producers opt in with
 // `static constexpr bool staging_profitable = true;`. pointer_stream is
 // deliberately NOT in this set: its next() is already a raw load, so
 // propagation through adapters would reintroduce the compute-staging

@@ -3,10 +3,11 @@
 // The scheduler, the budget governor and the watchdog surface their event
 // counts here: process-monotonic u64 counters (forks, steals, refusals,
 // stalls, ...), each recorded with one relaxed fetch_add on a
-// thread-private shard, plus one max-gauge, the bytes-live peak.
+// thread-private shard. The registry holds counters only; the bytes-live
+// peak is memory::bytes_peak (memory/tracking.hpp).
 //
 // Memory model: every cell is a relaxed std::atomic<u64> that only ever
-// increases (the sole max-gauge uses a CAS max). snapshot() therefore
+// increases. snapshot() therefore
 // needs no synchronization with writers: it reads each cell once and sums
 // across shards. A snapshot taken during concurrent mutation is a
 // *consistent cut in the per-cell monotone order* — each cell's value was
@@ -50,7 +51,6 @@ enum class counter : unsigned {
   // memory / budget
   budget_admissions,
   budget_refusals,
-  budget_retries,
   kCount,
 };
 inline constexpr std::size_t kNumCounters =
@@ -58,8 +58,8 @@ inline constexpr std::size_t kNumCounters =
 
 [[nodiscard]] inline const char* counter_name(counter c) {
   static constexpr const char* kNames[kNumCounters] = {
-      "forks",  "joins",           "steals",          "failed_steals",
-      "stalls", "budget_admissions", "budget_refusals", "budget_retries",
+      "forks",  "joins",           "steals",         "failed_steals",
+      "stalls", "budget_admissions", "budget_refusals",
   };
   return kNames[static_cast<std::size_t>(c)];
 }
@@ -133,10 +133,6 @@ struct alignas(64) shard {
 
 struct registry {
   shard shards[kShards];
-  // The single max-gauge: high-water mark of live tracked bytes as seen by
-  // the metrics layer (mirrors memory::bytes_peak but resettable with the
-  // registry, and visible in snapshots without a tracking.hpp dependency).
-  std::atomic<std::int64_t> bytes_live_peak{0};
 };
 
 inline registry& reg() {
@@ -162,22 +158,10 @@ inline void count(counter c, std::uint64_t n = 1) {
       n, std::memory_order_relaxed);
 }
 
-// Raise the bytes-live high-water mark to at least `live`.
-inline void observe_peak_bytes(std::int64_t live) {
-  if constexpr (!metrics_compiled_in) return;
-  if (!metrics_enabled()) return;
-  auto& peak = detail::reg().bytes_live_peak;
-  std::int64_t cur = peak.load(std::memory_order_relaxed);
-  while (live > cur &&
-         !peak.compare_exchange_weak(cur, live, std::memory_order_relaxed)) {
-  }
-}
-
 // --- snapshots ---------------------------------------------------------------
 
 struct metrics_snapshot {
   std::array<std::uint64_t, kNumCounters> counters{};
-  std::int64_t bytes_live_peak = 0;
 
   [[nodiscard]] std::uint64_t get(counter c) const {
     return counters[static_cast<std::size_t>(c)];
@@ -193,7 +177,6 @@ struct metrics_snapshot {
   for (const auto& s : r.shards)
     for (std::size_t c = 0; c < kNumCounters; ++c)
       out.counters[c] += s.counters[c].load(std::memory_order_relaxed);
-  out.bytes_live_peak = r.bytes_live_peak.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -207,7 +190,6 @@ inline void reset() {
   for (auto& s : r.shards)
     for (std::size_t c = 0; c < kNumCounters; ++c)
       s.counters[c].store(0, std::memory_order_relaxed);
-  r.bytes_live_peak.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace pbds::telemetry

@@ -1,16 +1,16 @@
-// Resource governance: memory budget admission, degradation ladder, and
-// the scheduler watchdog (DESIGN.md §"Resource governance").
+// Resource governance: memory budget admission, the propagation of a
+// refusal, and the scheduler watchdog (DESIGN.md §"Resource governance").
 //
 // Invariants under test:
 //  * admission is byte-exact — an allocation landing exactly on the limit
 //    is admitted, one byte more is refused with pbds::budget_exceeded;
 //  * budget_scope composes by min and restores on exit;
-//  * a refused eager flatten degrades to the bounded-chunk recompute path
-//    and the pipeline COMPLETES under the budget, with identical results
-//    and bytes_live back at baseline;
-//  * refusals propagate through the fork-join cancellation protocol under
-//    the sequential, deterministic (16 seeds), and real 4-worker
-//    schedulers without leaking;
+//  * a refusal propagates once, to the caller, through the fork-join
+//    cancellation protocol under the sequential, deterministic (16 seeds),
+//    and real 4-worker schedulers, with bytes_live back at baseline and
+//    the pool reusable: from a tabulate of nested arrays, from flatten
+//    forcing its inner sequences, and from filter_op's pack, whose
+//    predicate still runs at most once per element;
 //  * the watchdog cancels a livelocked region (pbds::stall_detected) and
 //    the pool stays reusable; deadline overloads behave the same; the
 //    deterministic simulator's arm_stall_after replays from one seed.
@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "core/block.hpp"
 #include "core/delayed.hpp"
 #include "memory/budget.hpp"
+#include "memory/counting_allocator.hpp"
 #include "memory/tracking.hpp"
 #include "sched/deterministic.hpp"
 #include "sched/exec_policy.hpp"
@@ -101,105 +103,10 @@ TEST(Budget, NestedScopesComposeByMin) {
   EXPECT_EQ(memory::bytes_live(), base + 2048);
 }
 
-// --- the retry ladder --------------------------------------------------------
-
-TEST(Budget, RetryLadderRetriesThenSucceeds) {
-  memory::set_budget_retry_policy(3, 1);
-  int calls = 0;
-  int v = memory::budget_retry([&] {
-    if (++calls < 3) throw budget_exceeded(1, 0, 0);
-    return 42;
-  });
-  EXPECT_EQ(v, 42);
-  EXPECT_EQ(calls, 3);
-  memory::set_budget_retry_policy(2, 50);  // defaults
-}
-
-TEST(Budget, RetryLadderExhaustsAndRethrows) {
-  memory::set_budget_retry_policy(2, 1);
-  int calls = 0;
-  EXPECT_THROW(memory::budget_retry([&]() -> int {
-                 ++calls;
-                 throw budget_exceeded(1, 0, 0);
-               }),
-               budget_exceeded);
-  EXPECT_EQ(calls, 3);  // initial attempt + 2 retries
-  memory::set_budget_retry_policy(2, 50);
-}
-
-// --- bounded-chunk degradation ----------------------------------------------
-
-// The flagship pipeline: filter -> scan -> map-to-inner-sequences ->
-// flatten -> narrowing map -> to_array. Eagerly forcing the inners needs ~256 KiB of
-// transients; the final output is 32 KiB. With ~100 KiB of budget headroom
-// the eager path is refused and flatten must degrade to recompute mode —
-// and still produce exactly the unbudgeted result.
-parray<char> run_pipeline() {
-  scoped_block_size blocks(256);
-  auto input = parray<long>::tabulate(
-      1024, [](std::size_t i) { return static_cast<long>(i); });
-  auto evens =
-      delayed::filter([](long v) { return v % 2 == 0; }, input);  // 512
-  auto prefix =
-      delayed::scan([](long a, long b) { return a + b; }, 0L, evens).first;
-  auto inners = delayed::map(
-      [](long v) {
-        return parray<long>::tabulate(
-            64, [v](std::size_t j) { return v + static_cast<long>(j); });
-      },
-      prefix);
-  auto flat = delayed::flatten(inners);  // 32768 elements
-  auto narrowed = delayed::map(
-      [](long v) { return static_cast<char>(v & 0x7f); }, flat);
-  return delayed::to_array(narrowed);
-}
-
-void expect_degraded_pipeline_completes() {
-  memory::set_budget_retry_policy(1, 1);  // keep the refused retries quick
-  auto expected = run_pipeline();  // no budget: eager flatten
-  std::int64_t base = memory::bytes_live();
-  std::int64_t refusals_before = memory::budget_refusals();
-  {
-    memory::budget_scope budget(base + 100 * 1024);
-    auto got = run_pipeline();
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], expected[i]) << "at " << i;
-    }
-  }
-  // The eager path really was refused (degradation happened)...
-  EXPECT_GT(memory::budget_refusals(), refusals_before);
-  // ...and the budgeted run released everything it allocated.
-  EXPECT_EQ(memory::bytes_live(), base);
-  memory::set_budget_retry_policy(2, 50);
-}
-
-TEST(BudgetDegradation, FlattenPipelineCompletesSequential) {
-  sched::scoped_sequential seq;
-  expect_degraded_pipeline_completes();
-}
-
-TEST(BudgetDegradation, FlattenPipelineCompletesDeterministicSeeds) {
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    sched::scoped_deterministic det(seed, 4);
-    expect_degraded_pipeline_completes();
-  }
-}
-
-TEST(BudgetDegradation, FlattenPipelineCompletesRealPool) {
-  unsigned before = sched::num_workers();
-  sched::set_num_workers(4);
-  // Parallel materialization keeps one recomputed inner live per in-flight
-  // output block, so give the pool variant per-worker headroom.
-  expect_degraded_pipeline_completes();
-  sched::set_num_workers(before);
-}
-
 // --- propagation through the cancellation protocol ---------------------------
 
 void expect_refusal_propagates() {
   std::int64_t base = memory::bytes_live();
-  memory::set_budget_retry_policy(0, 1);
   {
     memory::budget_scope budget(base + 16 * 1024);
     // The outer buffer (64 * sizeof(parray) = 1 KiB) is admitted; the
@@ -220,7 +127,6 @@ void expect_refusal_propagates() {
         budget_exceeded);
   }
   EXPECT_EQ(memory::bytes_live(), base);
-  memory::set_budget_retry_policy(2, 50);
 }
 
 TEST(BudgetPropagation, Sequential) {
@@ -239,6 +145,144 @@ TEST(BudgetPropagation, RealPool) {
   unsigned before = sched::num_workers();
   sched::set_num_workers(4);
   expect_refusal_propagates();
+  sched::set_num_workers(before);
+}
+
+// The flagship pipeline: filter -> scan -> map-to-inner-sequences ->
+// flatten -> narrowing map -> to_array. Forcing the inners needs ~256 KiB
+// of transients; the final output is 32 KiB. With ~100 KiB of budget
+// headroom flatten's forcing is refused, and the refusal is the result:
+// it reaches the caller once, nothing leaks, and the same pipeline then
+// runs unbudgeted to the same result.
+parray<char> run_pipeline() {
+  scoped_block_size blocks(256);
+  auto input = parray<long>::tabulate(
+      1024, [](std::size_t i) { return static_cast<long>(i); });
+  auto evens =
+      delayed::filter([](long v) { return v % 2 == 0; }, input);  // 512
+  auto prefix =
+      delayed::scan([](long a, long b) { return a + b; }, 0L, evens).first;
+  auto inners = delayed::map(
+      [](long v) {
+        return parray<long>::tabulate(
+            64, [v](std::size_t j) { return v + static_cast<long>(j); });
+      },
+      prefix);
+  auto flat = delayed::flatten(inners);  // 32768 elements
+  auto narrowed = delayed::map(
+      [](long v) { return static_cast<char>(v & 0x7f); }, flat);
+  return delayed::to_array(narrowed);
+}
+
+void expect_pipeline_refused_once() {
+  auto expected = run_pipeline();  // no budget
+  std::int64_t base = memory::bytes_live();
+  std::int64_t refusals_before = memory::budget_refusals();
+  int caught = 0;
+  {
+    memory::budget_scope budget(base + 100 * 1024);
+    try {
+      (void)run_pipeline();
+    } catch (const budget_exceeded&) {
+      ++caught;
+    }
+  }
+  EXPECT_EQ(caught, 1);
+  EXPECT_GT(memory::budget_refusals(), refusals_before);
+  EXPECT_EQ(memory::bytes_live(), base);
+  auto again = run_pipeline();
+  ASSERT_EQ(again.size(), expected.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    ASSERT_EQ(again[i], expected[i]) << "at " << i;
+  }
+}
+
+TEST(BudgetPropagation, FlattenPipelineSequential) {
+  sched::scoped_sequential seq;
+  expect_pipeline_refused_once();
+}
+
+TEST(BudgetPropagation, FlattenPipelineDeterministicSeeds) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sched::scoped_deterministic det(seed, 4);
+    expect_pipeline_refused_once();
+  }
+}
+
+TEST(BudgetPropagation, FlattenPipelineRealPool) {
+  unsigned before = sched::num_workers();
+  sched::set_num_workers(4);
+  expect_pipeline_refused_once();
+  sched::set_num_workers(before);
+}
+
+// filter_op with bfs's compare-and-swap visit, counting its calls. The
+// budget admits the array of block buffers but no block's pack (2,048
+// survivors, 16 KiB), so the first pack is refused after its block's
+// predicates ran. The refusal must reach the caller with no predicate run
+// twice: a second run would find its element visited and drop it.
+// Afterwards the unbudgeted filter_op keeps exactly the elements the
+// refused one left unvisited.
+void expect_filter_op_refused_predicates_once() {
+  constexpr std::size_t kBlock = 2048;
+  constexpr std::size_t kN = 4 * kBlock;
+  scoped_block_size blocks(kBlock);
+  auto input = parray<std::int64_t>::tabulate(
+      kN, [](std::size_t i) { return static_cast<std::int64_t>(i); });
+  std::vector<std::atomic<int>> calls(kN);
+  std::vector<std::atomic<bool>> visited(kN);
+  auto try_visit = [&](std::int64_t v) -> std::optional<std::int64_t> {
+    auto i = static_cast<std::size_t>(v);
+    calls[i].fetch_add(1, std::memory_order_relaxed);
+    bool expected = false;
+    if (visited[i].compare_exchange_strong(expected, true,
+                                           std::memory_order_relaxed))
+      return v;
+    return std::nullopt;
+  };
+  std::int64_t base = memory::bytes_live();
+  const auto buffers = static_cast<std::int64_t>(
+      (kN / kBlock) * sizeof(memory::tracked_vector<std::int64_t>));
+  int caught = 0;
+  {
+    memory::budget_scope budget(base + buffers + 1024);
+    try {
+      (void)delayed::filter_op(try_visit, input);
+    } catch (const budget_exceeded&) {
+      ++caught;
+    }
+  }
+  EXPECT_EQ(caught, 1);
+  EXPECT_EQ(memory::bytes_live(), base);
+  std::size_t ran = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_LE(calls[i].load(), 1) << "predicate ran twice on element " << i;
+    ran += static_cast<std::size_t>(calls[i].load());
+  }
+  EXPECT_GE(ran, kBlock);  // at least one block's pack was attempted
+  auto kept = delayed::to_array(delayed::filter_op(try_visit, input));
+  EXPECT_EQ(kept.size(), kN - ran);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(visited[i].load()) << "element " << i << " never visited";
+  }
+}
+
+TEST(BudgetPropagation, FilterOpPredicateOnceSequential) {
+  sched::scoped_sequential seq;
+  expect_filter_op_refused_predicates_once();
+}
+
+TEST(BudgetPropagation, FilterOpPredicateOnceDeterministicSeeds) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sched::scoped_deterministic det(seed, 4);
+    expect_filter_op_refused_predicates_once();
+  }
+}
+
+TEST(BudgetPropagation, FilterOpPredicateOnceRealPool) {
+  unsigned before = sched::num_workers();
+  sched::set_num_workers(4);
+  expect_filter_op_refused_predicates_once();
   sched::set_num_workers(before);
 }
 

@@ -215,7 +215,7 @@ TEST_P(BulkStreamTest, FilterRegionBlocks) {
 }
 
 TEST_P(BulkStreamTest, FlattenMaterializedBlocks) {
-  SCOPED_TRACE("pipeline: flatten(nested)  [flatten_stream, ragged runs]");
+  SCOPED_TRACE("pipeline: flatten(nested)  [region runs over inners]");
   using buf = memory::tracked_vector<int64_t>;
   std::size_t outer = gen_.below(30, 80);
   auto nested = parray<buf>::tabulate(outer, [g = gen_](std::size_t i) {

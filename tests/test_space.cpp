@@ -11,6 +11,7 @@
 #include "benchmarks/integrate.hpp"
 #include "benchmarks/policies.hpp"
 #include "core/block.hpp"
+#include "core/delayed.hpp"
 #include "memory/tracking.hpp"
 
 namespace {
@@ -130,6 +131,37 @@ TEST(SpaceClaims, BfsAllocation) {
   { auto p = bench::bfs<delay_policy>(g, 0); }
   std::int64_t delay_bytes = md.allocated_bytes();
   EXPECT_GT(array_bytes, 4 * delay_bytes);
+}
+
+// flatten (Fig. 10 lines 44-47) keeps only what its walk reads: the forced
+// inner sequences and their count + 1 offsets. Once the outer sequence is
+// out of scope, nothing it held (here filter's packed survivors) may stay
+// alive in the flattened result.
+TEST(SpaceClaims, FlattenHoldsOnlyInnersAndOffsets) {
+  scoped_block_size guard(kB);
+  auto in = parray<std::int64_t>::tabulate(
+      kN, [](std::size_t i) { return (std::int64_t)i; });
+  std::int64_t base = memory::bytes_live();
+  std::size_t inner_bytes = 0;
+  auto flat = [&] {
+    auto evens =
+        delayed::filter([](std::int64_t x) { return x % 2 == 0; }, in);
+    auto outer = delayed::map(
+        [](std::int64_t v) {
+          return delayed::tabulate(
+              2, [v](std::size_t j) { return v + (std::int64_t)j; });
+        },
+        evens);
+    inner_bytes = sizeof(typename decltype(outer)::value_type);
+    return delayed::flatten(outer);
+  }();
+  const std::size_t count = kN / 2;
+  EXPECT_EQ(memory::bytes_live() - base,
+            static_cast<std::int64_t>(count * inner_bytes +
+                                      (count + 1) * sizeof(std::size_t)));
+  auto out = delayed::to_array(flat);
+  ASSERT_EQ(out.size(), kN);
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], (std::int64_t)i);
 }
 
 // Peak residency (not just total allocation) must also improve: the scan

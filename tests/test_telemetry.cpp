@@ -96,22 +96,18 @@ TEST_F(Telemetry, DisabledGateElidesRecording) {
     telemetry::scoped_metrics off(false);
     ASSERT_FALSE(telemetry::metrics_enabled());
     telemetry::count(counter::stalls, 7);
-    telemetry::observe_peak_bytes(1 << 20);
   }
   auto off_snap = telemetry::snapshot();
   EXPECT_EQ(off_snap.get(counter::stalls), 0u);
-  EXPECT_EQ(off_snap.bytes_live_peak, 0);
   // Arm B: same calls with the gate on. The registry must move — proving
   // arm A's zeros came from elision, not from a dead record path.
   {
     telemetry::scoped_metrics on(true);
     ASSERT_TRUE(telemetry::metrics_enabled());
     telemetry::count(counter::stalls, 7);
-    telemetry::observe_peak_bytes(1 << 20);
   }
   auto on_snap = telemetry::snapshot();
   EXPECT_EQ(on_snap.get(counter::stalls), 7u);
-  EXPECT_EQ(on_snap.bytes_live_peak, 1 << 20);
 }
 
 TEST_F(Telemetry, EnvGateIsReloadableAndScopedEnvClearsIt) {
