@@ -58,7 +58,6 @@ struct cli {
   bool metrics_overhead = false; // A/B the metrics-recording cost instead
   bool isolate = false;     // fork one subprocess per configuration
   double timeout_sec = 60;  // per-configuration wall clock (isolated mode)
-  int retries = 1;          // max retries after timeout/crash (isolated mode)
 
   // Perf-regression mode: replay the configurations recorded in a
   // committed `--json` report and fail (exit 1) when the fresh medians
@@ -275,10 +274,6 @@ cli parse_cli(int argc, char** argv) {
       c.timeout_sec = bd::parse_double_arg(
           "--timeout", bd::require_value("--timeout", i, argc, argv), 0.0,
           /*inclusive=*/false);
-    } else if (is("--retries")) {
-      c.retries = static_cast<int>(bd::parse_long_arg(
-          "--retries", bd::require_value("--retries", i, argc, argv), 0,
-          100));
     } else if (is("--baseline")) {
       c.baseline_path = bd::require_value("--baseline", i, argc, argv);
     } else if (is("--threshold")) {
@@ -315,7 +310,7 @@ cli parse_cli(int argc, char** argv) {
           "usage: %s [--bench NAME|all] [--impl array|rad|delay|all]\n"
           "          [-n SIZE] [-repeat R] [-warmup SECONDS] [--list]\n"
           "          [--json PATH] [--isolate] [--timeout SECONDS]\n"
-          "          [--retries N] [--metrics] [--metrics-overhead]\n"
+          "          [--metrics] [--metrics-overhead]\n"
           "          [--baseline REPORT.json] [--threshold X]\n"
           "          [--bytes-threshold X] [--inject-slowdown F]\n"
           "--metrics dumps the telemetry registry's counters after the\n"
@@ -386,12 +381,10 @@ int run_baseline_mode(const cli& c) {
                                : reg.at(b.name).default_n;
     auto r = run_isolated([&] { return reg.at(b.name).run(b.config, n,
                                                           c.opt); },
-                          c.timeout_sec, c.retries);
+                          c.timeout_sec);
     if (r.status != run_status::ok) {
-      std::printf("%-12s %-6s %12zu %12s (%s after %d attempt%s)\n",
-                  b.name.c_str(), b.config.c_str(), n, "-",
-                  to_string(r.status), r.attempts,
-                  r.attempts == 1 ? "" : "s");
+      std::printf("%-12s %-6s %12zu %12s (%s)\n", b.name.c_str(),
+                  b.config.c_str(), n, "-", to_string(r.status));
       ++failed;
       continue;
     }
@@ -447,7 +440,7 @@ void dump_metrics(json_report* report) {
   std::fflush(stdout);
   if (report) {
     measurement m{};
-    report->add({"telemetry", "delay", run_status::ok, 1, m, extra});
+    report->add({"telemetry", "delay", run_status::ok, m, extra});
   }
 }
 
@@ -547,7 +540,7 @@ int run_metrics_overhead(const cli& c) {
       m.seconds = on_med;
       m.median_seconds = on_med;
       report->add({std::string("metrics-overhead.") + s.name, "delay",
-                   run_status::ok, 1, m,
+                   run_status::ok, m,
                    {{"n", static_cast<double>(n)},
                     {"metrics_median_s", on_med},
                     {"nometrics_median_s", off_med},
@@ -600,21 +593,19 @@ int main(int argc, char** argv) {
         // (run_isolated's contract) — and a configuration that wedges,
         // crashes, or blows past the budget costs only its own row.
         auto r = run_isolated([&] { return e.run(impl, n, c.opt); },
-                              c.timeout_sec, c.retries);
+                              c.timeout_sec);
         if (r.status == run_status::ok) {
           std::printf("%-12s %-6s %12zu %10.4f %12.1f %12.1f\n",
                       name.c_str(), impl.c_str(), n, r.m.seconds,
                       mb(r.m.peak_bytes), mb(r.m.allocated_bytes));
         } else {
-          std::printf("%-12s %-6s %12zu %10s (%s after %d attempt%s)\n",
-                      name.c_str(), impl.c_str(), n, "-",
-                      to_string(r.status), r.attempts,
-                      r.attempts == 1 ? "" : "s");
+          std::printf("%-12s %-6s %12zu %10s (%s)\n", name.c_str(),
+                      impl.c_str(), n, "-", to_string(r.status));
         }
         // Record n so a later --baseline run replays this exact
         // configuration regardless of its own --scale/-n flags.
         if (report)
-          report->add({name, impl, r.status, r.attempts, r.m,
+          report->add({name, impl, r.status, r.m,
                        {{"n", static_cast<double>(n)}}});
       } else {
         auto m = e.run(impl, n, c.opt);
@@ -622,7 +613,7 @@ int main(int argc, char** argv) {
                     impl.c_str(), n, m.seconds, mb(m.peak_bytes),
                     mb(m.allocated_bytes));
         if (report)
-          report->add({name, impl, run_status::ok, 1, m,
+          report->add({name, impl, run_status::ok, m,
                        {{"n", static_cast<double>(n)}}});
       }
       std::fflush(stdout);

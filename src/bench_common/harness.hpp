@@ -8,11 +8,11 @@
 // paper's max-residency measurement (see DESIGN.md §1).
 //
 // Resilience layer (DESIGN.md §"Resource governance"): run_isolated
-// executes one configuration in a forked child with a wall-clock timeout
-// and bounded retries, classifying the outcome (ok / timeout / crash /
-// budget refusal) instead of letting one pathological configuration take
-// down the whole suite; json_report persists partial results after every
-// configuration so a later death loses nothing.
+// executes one configuration once, in a forked child with a wall-clock
+// timeout, classifying the outcome (ok / timeout / crash / budget refusal)
+// instead of letting one pathological configuration take down the whole
+// suite; json_report persists partial results after every configuration so
+// a later death loses nothing.
 #pragma once
 
 #include <algorithm>
@@ -281,8 +281,7 @@ enum class run_status {
 
 struct isolated_result {
   run_status status = run_status::error;
-  int attempts = 0;  // total child launches (1 = first try succeeded)
-  measurement m;     // valid only when status == ok
+  measurement m;  // valid only when status == ok
 };
 
 namespace detail {
@@ -290,12 +289,23 @@ namespace detail {
 // usual small codes a benchmark main might use).
 inline constexpr int kBudgetExitCode = 97;
 inline constexpr int kErrorExitCode = 98;
+}  // namespace detail
 
-// One fork/monitor/reap cycle. The child runs `f` (which must return a
-// `measurement`), reports it over a pipe, and _exits without running
-// static destructors — the parent's state must not be torn down twice.
+// Run one benchmark configuration once, in a forked subprocess with a
+// wall-clock timeout, and classify how it ended. `f` must return a
+// `measurement` and is invoked only in the child, which reports it over a
+// pipe and _exits without running static destructors — the parent's state
+// must not be torn down twice. A crash or timeout is reported as such, not
+// rerun: the row shows what the configuration did.
+//
+// fork(2) safety: call this only from a process that has NOT started the
+// scheduler pool — a forked copy of a multithreaded process may hold
+// another thread's allocator lock forever. The child drops inherited
+// handles via sched::reinit_in_child() and builds its own pool; the
+// isolating parent must stay single-threaded and leave all parallel work
+// to children (see bench/pbdsbench.cpp --isolate).
 template <typename F>
-isolated_result run_isolated_once(const F& f, double timeout_sec) {
+isolated_result run_isolated(const F& f, double timeout_sec) {
   isolated_result r;
   int fds[2];
   if (pipe(fds) != 0) {
@@ -310,11 +320,11 @@ isolated_result run_isolated_once(const F& f, double timeout_sec) {
     return r;
   }
   if (pid == 0) {
-    // Child. The parent's worker/watchdog threads do not exist here;
-    // drop the inherited handles before any parallel work.
+    // Child. The parent's worker threads do not exist here; drop the
+    // inherited handles before any parallel work.
     close(fds[0]);
     sched::reinit_in_child();
-    int code = kErrorExitCode;
+    int code = detail::kErrorExitCode;
     char line[128];
     int len = 0;
     try {
@@ -326,7 +336,7 @@ isolated_result run_isolated_once(const F& f, double timeout_sec) {
                           m.median_seconds);
       code = 0;
     } catch (const budget_exceeded&) {
-      code = kBudgetExitCode;
+      code = detail::kBudgetExitCode;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "harness(child): %s\n", e.what());
     } catch (...) {
@@ -380,44 +390,11 @@ isolated_result run_isolated_once(const F& f, double timeout_sec) {
       r.status = run_status::ok;
     }
   } else if (WIFEXITED(wstatus) &&
-             WEXITSTATUS(wstatus) == kBudgetExitCode) {
+             WEXITSTATUS(wstatus) == detail::kBudgetExitCode) {
     r.status = run_status::budget_exceeded;
   }
   close(fds[0]);
   return r;
-}
-}  // namespace detail
-
-// Run one benchmark configuration in a forked subprocess with a wall-clock
-// timeout and bounded retries (exponential backoff between attempts). `f`
-// must return a `measurement` and is invoked only in the child.
-//
-// Classification: a timeout or signal death (OOM killer, segfault) is
-// retried up to `max_retries` times — those can be transient under load; a
-// budget refusal is NOT retried, because admission (memory/budget.hpp) is
-// deterministic for a fixed configuration.
-//
-// fork(2) safety: call this only from a process that has NOT started the
-// scheduler pool or the watchdog — a forked copy of a multithreaded
-// process may hold another thread's allocator lock forever. The child
-// drops inherited handles via sched::reinit_in_child() and builds its own
-// pool; the isolating parent must stay single-threaded and leave all
-// parallel work to children (see bench/pbdsbench.cpp --isolate).
-template <typename F>
-isolated_result run_isolated(const F& f, double timeout_sec,
-                             int max_retries = 1,
-                             int backoff_ms = 100) {
-  isolated_result r;
-  for (int attempt = 0;; ++attempt) {
-    r = detail::run_isolated_once(f, timeout_sec);
-    r.attempts = attempt + 1;
-    if (r.status == run_status::ok ||
-        r.status == run_status::budget_exceeded || attempt >= max_retries) {
-      return r;
-    }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(static_cast<long>(backoff_ms) << attempt));
-  }
 }
 
 // --- partial-results JSON report ----------------------------------------------
@@ -435,11 +412,10 @@ class json_report {
     std::string name;      // benchmark name
     std::string config;    // library / policy variant
     run_status status = run_status::ok;
-    int attempts = 1;
     measurement m;
     // Free-form numeric metrics appended to the JSON object (n,
     // overhead_ratio, metrics.* counters, ...). Last field so existing
-    // five-element aggregate initializers keep compiling.
+    // four-element aggregate initializers keep compiling.
     std::vector<std::pair<std::string, double>> extra = {};
   };
 
@@ -493,11 +469,11 @@ class json_report {
       std::fprintf(out, "\", \"config\": \"");
       write_escaped(out, r.config);
       std::fprintf(out,
-                   "\", \"status\": \"%s\", \"attempts\": %d, "
+                   "\", \"status\": \"%s\", "
                    "\"seconds\": %.9g, \"median_seconds\": %.9g, "
                    "\"peak_bytes\": %lld, "
                    "\"allocated_bytes\": %lld",
-                   to_string(r.status), r.attempts, r.m.seconds,
+                   to_string(r.status), r.m.seconds,
                    r.m.median_seconds,
                    static_cast<long long>(r.m.peak_bytes),
                    static_cast<long long>(r.m.allocated_bytes));

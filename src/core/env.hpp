@@ -1,12 +1,11 @@
 // Strict environment-variable parsing, shared by every PBDS_* knob.
 //
-// PBDS_NUM_THREADS, PBDS_WATCHDOG_MS, PBDS_BUDGET_BYTES and the other
-// integer knobs all follow the same contract: a knob is either a
-// full-string integer inside its documented range, or it is *ignored* with
-// a single warning on stderr — a malformed value must never silently
-// misconfigure the pool, the watchdog, or the budget. This header is the
-// one implementation of that contract (it used to be hand-rolled
-// strtol+range-check+warn-once at each call site).
+// PBDS_NUM_THREADS, PBDS_BUDGET_BYTES and the other integer knobs all
+// follow the same contract: a knob is either a full-string integer inside
+// its documented range, or it is *ignored* with a single warning on stderr
+// — a malformed value must never silently misconfigure the pool or the
+// budget. This header is the one implementation of that contract (it used
+// to be hand-rolled strtol+range-check+warn-once at each call site).
 #pragma once
 
 #include <atomic>
@@ -66,14 +65,13 @@ inline constexpr const char* kKnownEnvKnobs[] = {
     "PBDS_NUM_THREADS",
     "PBDS_SEED",
     "PBDS_BUDGET_BYTES",
-    "PBDS_WATCHDOG_MS",
     "PBDS_METRICS",
     "PBDS_TRACE_FILE",
     "PBDS_TRACE_CAP",
 };
 
 // Warn once per process about PBDS_-prefixed environment variables that
-// match no knob in the table: a typo'd knob (PBDS_WATCHDOG_SM) must not
+// match no knob in the table: a typo'd knob (PBDS_BUDGET_BYTE) must not
 // silently no-op. Called at scheduler init — early enough to precede any
 // knob-dependent behavior the user meant to configure, late enough that
 // tests mutating the environment before first pool touch are seen.

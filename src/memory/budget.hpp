@@ -23,10 +23,8 @@
 #pragma once
 
 #include <atomic>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <new>
@@ -127,7 +125,7 @@ inline void recompute_effective_limit() {
 // cannot overcommit.
 inline std::atomic<std::int64_t> g_budget_reserved{0};
 
-// Total refusals, for tests and the watchdog's diagnostic dump.
+// Total refusals, for tests.
 inline std::atomic<std::int64_t> g_budget_refusals{0};
 
 }  // namespace detail
@@ -137,8 +135,6 @@ inline std::atomic<std::int64_t> g_budget_refusals{0};
 [[nodiscard]] inline std::int64_t budget_limit() {
   return detail::effective_limit_slot().load(std::memory_order_relaxed);
 }
-
-[[nodiscard]] inline bool budget_active() { return budget_limit() > 0; }
 
 // Set (or clear, with 0) the process-wide base budget. Prefer
 // budget_scope.

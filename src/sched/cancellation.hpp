@@ -18,6 +18,11 @@
 //      are captured and dropped (they are secondary failures of a
 //      computation whose result is already dead).
 //
+// A region may also carry a wall-clock deadline (the deadline overloads in
+// parallel.hpp). It is stored in the region's cancel_state and checked at
+// the same polls: the first poll past it captures pbds::stall_detected, and
+// the region collapses exactly as if a branch had thrown it.
+//
 // `cancel_shield` opts a subtree *out* of an enclosing region's
 // cancellation: loops that must visit every index even while unwinding —
 // placeholder construction in parray::tabulate / delayed::to_array, the
@@ -30,19 +35,20 @@
 #include <cassert>
 #include <chrono>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
-#include <vector>
+
+#include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace pbds {
 
-// Thrown at the root join of a fork-join region that the watchdog
-// (scheduler.hpp) cancelled — either its deadline expired or the pool made
-// no global progress for the configured number of watchdog intervals. The
-// region collapses through the normal cancellation protocol, so the pool
-// is quiescent and reusable when this surfaces.
+// Thrown at the root join of a fork-join region whose deadline passed
+// before the region finished. The region collapses through the normal
+// cancellation protocol, so the pool is quiescent and reusable when this
+// surfaces.
 class stall_detected : public std::runtime_error {
  public:
   explicit stall_detected(const std::string& what)
@@ -55,39 +61,46 @@ namespace pbds::sched {
 
 class cancel_state {
  public:
-  cancel_state() noexcept = default;
+  // time_point::max() means no deadline.
+  explicit cancel_state(std::chrono::steady_clock::time_point deadline) noexcept
+      : deadline_(deadline) {}
   cancel_state(const cancel_state&) = delete;
   cancel_state& operator=(const cancel_state&) = delete;
 
-  // Polled from arbitrary workers at fork/chunk boundaries; relaxed is
-  // fine — a stale `false` only delays the bail-out by one chunk.
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
+  // Polled from arbitrary workers at fork/chunk boundaries and when a job
+  // starts; relaxed is fine — a stale `false` only delays the bail-out by
+  // one chunk. Only a region with a deadline reads the clock.
+  [[nodiscard]] bool cancelled() noexcept {
+    if (cancelled_.load(std::memory_order_relaxed)) return true;
+    return deadline_ != std::chrono::steady_clock::time_point::max() &&
+           deadline_passed();
   }
 
   // Record a thrown exception and request cancellation. The first caller
-  // wins the `first_` slot; all callers flip `cancelled`. Safe to call
-  // concurrently from any worker (or the watchdog thread). The claim
-  // goes through three states — 0 free, 1 writing, 2 published — because
-  // a LOSING capture also stores `cancelled_`, and a reader reaching
-  // rethrow_first through the loser's store must not touch `first_`
-  // while the winner is still writing it.
-  void capture(std::exception_ptr e) noexcept {
+  // wins the `first_` slot and gets true; all callers flip `cancelled`.
+  // Safe to call concurrently from any worker. The claim goes through
+  // three states — 0 free, 1 writing, 2 published — because a LOSING
+  // capture also stores `cancelled_`, and a reader reaching rethrow_first
+  // through the loser's store must not touch `first_` while the winner is
+  // still writing it.
+  bool capture(std::exception_ptr e) noexcept {
     int expected = 0;
-    if (claim_.compare_exchange_strong(expected, 1,
-                                       std::memory_order_acq_rel)) {
+    const bool first = claim_.compare_exchange_strong(
+        expected, 1, std::memory_order_acq_rel);
+    if (first) {
       first_ = std::move(e);
       claim_.store(2, std::memory_order_release);
     }
     cancelled_.store(true, std::memory_order_release);
+    return first;
   }
 
   // Rethrow the winning exception. Safe from any thread that observed
   // `cancelled()`: the claim handshake (not the join edges alone) makes
-  // `first_` visible, so this also covers asynchronous captures — a
-  // watchdog deadline or stagnation cancel racing the root's rethrow.
+  // `first_` visible.
   void rethrow_first() {
-    assert(cancelled() && "rethrow_first on a region that never failed");
+    assert(cancelled_.load(std::memory_order_relaxed) &&
+           "rethrow_first on a region that never failed");
     int c = claim_.load(std::memory_order_acquire);
     while (c == 1) {  // winner mid-write; publication is a few stores away
       std::this_thread::yield();
@@ -97,8 +110,21 @@ class cancel_state {
   }
 
  private:
+  // Out of line, so that the poll of a region without a deadline stays one
+  // load and one compare.
+  [[gnu::noinline]] bool deadline_passed() noexcept {
+    if (std::chrono::steady_clock::now() < deadline_) return false;
+    if (capture(std::make_exception_ptr(stall_detected(
+            "pbds: fork-join region exceeded its deadline")))) {
+      telemetry::count(telemetry::counter::stalls);
+      telemetry::trace_instant(telemetry::trace_kind::sched, "deadline");
+    }
+    return true;
+  }
+
   std::atomic<int> claim_{0};
   std::atomic<bool> cancelled_{false};
+  const std::chrono::steady_clock::time_point deadline_;
   std::exception_ptr first_;
 };
 
@@ -110,71 +136,19 @@ namespace detail {
 // thread.
 inline thread_local cancel_state* tl_cancel = nullptr;
 
-// --- active-region registry (watchdog support) -----------------------------
-//
-// When region tracking is on (watchdog running, or the current root has a
-// deadline), every *root* cancel_scope registers its cancel_state here so
-// the watchdog thread can cancel a stuck or expired region from outside.
-// Off by default: the only cost on the fork hot path is one relaxed load
-// plus a thread-local deadline check, both in the root-only branch.
-inline std::atomic<bool> g_region_tracking{false};
-
 // Deadline installed by region_deadline (parallel.hpp's deadline-taking
-// overloads); time_point::max() means none.
+// overloads) for the next root region entered on this thread;
+// time_point::max() means none.
 inline thread_local std::chrono::steady_clock::time_point tl_deadline =
     std::chrono::steady_clock::time_point::max();
-
-// Depth of nested cancel_shields on this thread. Roots entered under a
-// shield are must-complete: they never register with the watchdog, so
-// neither a deadline nor a stagnation sweep can collapse them.
-inline thread_local int tl_shield_depth = 0;
-
-struct region_entry {
-  cancel_state* state;
-  std::chrono::steady_clock::time_point deadline;  // max() = none
-};
-
-inline std::mutex& region_registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-inline std::vector<region_entry>& region_registry() {
-  static std::vector<region_entry> v;
-  return v;
-}
-
-inline void register_region(cancel_state* cs,
-                            std::chrono::steady_clock::time_point deadline) {
-  std::lock_guard<std::mutex> lock(region_registry_mutex());
-  region_registry().push_back({cs, deadline});
-}
-
-inline void unregister_region(cancel_state* cs) {
-  std::lock_guard<std::mutex> lock(region_registry_mutex());
-  auto& v = region_registry();
-  for (auto it = v.begin(); it != v.end(); ++it) {
-    if (it->state == cs) {
-      v.erase(it);
-      return;
-    }
-  }
-}
 }  // namespace detail
-
-// Number of fork-join regions currently registered for watchdog
-// observation (those with a deadline, or all roots while tracking is on).
-[[nodiscard]] inline std::size_t active_tracked_regions() {
-  std::lock_guard<std::mutex> lock(detail::region_registry_mutex());
-  return detail::region_registry().size();
-}
 
 [[nodiscard]] inline cancel_state* current_cancel() noexcept {
   return detail::tl_cancel;
 }
 
-// True iff the current thread works for a region whose failure has been
-// recorded — the signal to bail at the next fork or chunk boundary.
+// True iff the current thread works for a region that has failed or passed
+// its deadline — the signal to bail at the next fork or chunk boundary.
 [[nodiscard]] inline bool cancellation_requested() noexcept {
   return detail::tl_cancel != nullptr && detail::tl_cancel->cancelled();
 }
@@ -185,25 +159,14 @@ inline void unregister_region(cancel_state* cs) {
 // just hand back the enclosing state.
 class cancel_scope {
  public:
-  cancel_scope() : root_(detail::tl_cancel == nullptr) {
-    if (root_) {
-      detail::tl_cancel = &local_;
-      // Publish the region to the watchdog when tracking is on or this
-      // root carries a deadline. Root scopes only — one registration per
-      // top-level region, not per nested fork — and never under a
-      // cancel_shield, whose loops must run to completion.
-      auto deadline = detail::tl_deadline;
-      if (detail::tl_shield_depth == 0 &&
-          (detail::g_region_tracking.load(std::memory_order_relaxed) ||
-           deadline != std::chrono::steady_clock::time_point::max())) {
-        detail::register_region(&local_, deadline);
-        registered_ = true;
-      }
-    }
+  // A root takes the thread's pending deadline into its state; a nested
+  // scope's copy is never polled.
+  cancel_scope()
+      : local_(detail::tl_deadline), root_(detail::tl_cancel == nullptr) {
+    if (root_) detail::tl_cancel = &local_;
   }
 
   ~cancel_scope() {
-    if (registered_) detail::unregister_region(&local_);
     if (root_) detail::tl_cancel = nullptr;
   }
 
@@ -216,7 +179,6 @@ class cancel_scope {
  private:
   cancel_state local_;  // used only when this scope is the root
   bool root_;
-  bool registered_ = false;
 };
 
 // RAII deadline for the next root region entered on this thread (installed
@@ -243,23 +205,21 @@ class region_deadline {
 // self-catching — skipping their chunks would corrupt object lifetimes.
 //
 // Must-complete means must-complete: the shield also suspends the
-// enclosing job's region deadline and keeps the fresh roots out of the
-// watchdog's registry (see cancel_scope). Otherwise a shielded guarded
-// loop inherits the job's deadline through tl_deadline, the watchdog
-// cancels its root mid-loop, and the root join throws with whole blocks
-// skipped — exactly the unconstructed-slot corruption the shield exists
-// to prevent. Shielded loops are bounded (one pass over storage), so
-// withholding them from the watchdog cannot hide a livelock.
+// thread's pending deadline, so the fresh roots carry none. Otherwise a
+// shielded loop on the thread that entered a deadline overload roots its
+// forks with that deadline, a poll past it cancels them, and the root join
+// throws with whole blocks skipped — exactly the unconstructed-slot
+// corruption the shield exists to prevent. Shielded loops are bounded
+// (one pass over storage), so the exemption delays a deadline by at most
+// that pass.
 class cancel_shield {
  public:
   cancel_shield() noexcept
       : saved_(detail::tl_cancel), saved_deadline_(detail::tl_deadline) {
     detail::tl_cancel = nullptr;
     detail::tl_deadline = std::chrono::steady_clock::time_point::max();
-    ++detail::tl_shield_depth;
   }
   ~cancel_shield() {
-    --detail::tl_shield_depth;
     detail::tl_deadline = saved_deadline_;
     detail::tl_cancel = saved_;
   }

@@ -97,20 +97,6 @@ class chase_lev_deque {
     return j;
   }
 
-  [[nodiscard]] bool looks_empty() const noexcept {
-    return top_.load(std::memory_order_relaxed) >=
-           bottom_.load(std::memory_order_relaxed);
-  }
-
-  // Approximate depth for diagnostics (watchdog stderr dump). Racy by
-  // nature — both indices move concurrently — but never negative and
-  // exact whenever the owner is parked or dead.
-  [[nodiscard]] std::size_t size_estimate() const noexcept {
-    std::int64_t t = top_.load(std::memory_order_relaxed);
-    std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
  private:
   alignas(64) std::atomic<std::int64_t> top_{0};
   alignas(64) std::atomic<std::int64_t> bottom_{0};

@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <string>
 #include <vector>
 
 #include "sched/cancellation.hpp"
@@ -92,7 +91,6 @@ class det_scheduler {
     cancel_scope scope;
     cancel_state* cs = scope.state();
     if (!scope.is_root() && cs->cancelled()) return;  // bail: sibling failed
-    maybe_inject_stall(cs);
     try {
       if (next_u64() & 1) {
         record(event::fork_swap);
@@ -129,30 +127,7 @@ class det_scheduler {
   [[nodiscard]] std::size_t num_forks() const noexcept { return forks_; }
   [[nodiscard]] std::size_t num_steals() const noexcept { return steals_; }
 
-  // --- stall mirror ----------------------------------------------------------
-  //
-  // Wall-clock deadlines and watchdog stagnation cancels are inherently
-  // non-replayable; the deterministic stand-in is fork-count-based: after
-  // the n-th fork of the region, the simulator captures
-  // pbds::stall_detected into the region's cancel_state — exactly what the
-  // watchdog does to a stuck real region — and the computation collapses
-  // through the ordinary cancellation protocol. Being keyed to the fork
-  // counter, the injection point is a pure function of (seed, pipeline),
-  // so which siblings get skipped replays from one integer. Disarm with a
-  // negative n.
-  void arm_stall_after(long n_forks) noexcept { stall_after_ = n_forks; }
-
  private:
-  void maybe_inject_stall(cancel_state* cs) {
-    if (stall_after_ < 0 || cs == nullptr) return;
-    if (static_cast<long>(forks_) >= stall_after_ && !cs->cancelled()) {
-      cs->capture(std::make_exception_ptr(stall_detected(
-          "pbds deterministic: injected stall (arm_stall_after)")));
-      telemetry::count(telemetry::counter::stalls);
-      telemetry::trace_instant(telemetry::trace_kind::sched, "stall");
-    }
-  }
-
   template <typename A, typename B>
   void fork_impl(A& first, B& second, cancel_state* cs) {
     ++forks_;
@@ -224,7 +199,6 @@ class det_scheduler {
   std::vector<event> trace_;
   std::size_t forks_ = 0;
   std::size_t steals_ = 0;
-  long stall_after_ = -1;  // injected-stall fork threshold; < 0 disarmed
 };
 
 namespace detail {

@@ -49,8 +49,9 @@ class job {
         if (cancel_ != nullptr) cancel_->capture(eptr_);
       }
     }
-    // else: a sibling already failed — skip the payload (the cheap bail at
-    // a fork boundary) but still finish, so the joiner wakes up.
+    // else: a sibling already failed or the region's deadline passed —
+    // skip the payload (the cheap bail at a fork boundary) but still
+    // finish, so the joiner wakes up.
     detail::tl_cancel = saved;
     done_.store(true, std::memory_order_release);
   }

@@ -292,27 +292,33 @@ void apply(std::size_t n, const F& f) {
 //
 // Run a fork-join region with a wall-clock deadline. The deadline is
 // installed thread-locally for the *next root region* entered here; the
-// root's cancel_scope registers itself with the watchdog's region
-// registry, and a (possibly deadline-only) watchdog thread cancels the
-// region once the deadline passes — the root join then throws
-// pbds::stall_detected through the ordinary cancellation protocol.
+// root's cancel_scope stores it in the region's cancel_state, and the first
+// cancellation poll after it passes — a fork, a granularity chunk, a job
+// starting, or the root join itself — captures pbds::stall_detected, which
+// the root join rethrows through the ordinary cancellation protocol.
 //
 // Caveats (by design, documented in DESIGN.md §"Resource governance"):
-// enforcement is cooperative and asynchronous — work stops at the next
-// fork or granularity-chunk boundary after the watchdog notices, so a
-// single long-running leaf overruns its deadline undetected until it
-// yields control. Paths that never enter the cancellation machinery
-// (sequential mode; a 1-worker pool's inline fast path; calls from
-// threads outside the pool) run to completion and ignore the deadline.
-// In deterministic mode the deadline is ignored too — wall-clock cutoffs
-// are inherently non-replayable; use det_scheduler::arm_stall_after for a
-// seed-stable stand-in.
+// enforcement is cooperative — work stops at the next poll after the
+// deadline, so a single long-running leaf overruns it until the leaf
+// returns or polls sched::cancellation_requested() itself. Paths that
+// never enter the cancellation machinery (sequential mode; a 1-worker
+// pool's inline fast path; calls from threads outside the pool) run to
+// completion and ignore the deadline. The overloads install no deadline in
+// deterministic mode, whose schedule must replay from the seed alone, not
+// from the clock.
+
+namespace detail {
+inline std::chrono::steady_clock::time_point deadline_from_now(
+    std::chrono::milliseconds deadline) {
+  if (sched::current_exec_mode() != sched::exec_mode::parallel)
+    return std::chrono::steady_clock::time_point::max();
+  return std::chrono::steady_clock::now() + deadline;
+}
+}  // namespace detail
 
 template <typename L, typename R>
 void fork2join(L&& left, R&& right, std::chrono::milliseconds deadline) {
-  if (sched::current_exec_mode() == sched::exec_mode::parallel)
-    sched::ensure_watchdog_for_deadlines();
-  sched::region_deadline guard(std::chrono::steady_clock::now() + deadline);
+  sched::region_deadline guard(detail::deadline_from_now(deadline));
   fork2join(std::forward<L>(left), std::forward<R>(right));
 }
 
@@ -320,9 +326,7 @@ template <typename F>
 void parallel_for(std::size_t lo, std::size_t hi, const F& f,
                   std::size_t granularity,
                   std::chrono::milliseconds deadline) {
-  if (sched::current_exec_mode() == sched::exec_mode::parallel)
-    sched::ensure_watchdog_for_deadlines();
-  sched::region_deadline guard(std::chrono::steady_clock::now() + deadline);
+  sched::region_deadline guard(detail::deadline_from_now(deadline));
   parallel_for(lo, hi, f, granularity);
 }
 

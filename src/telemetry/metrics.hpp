@@ -1,8 +1,8 @@
 // Lock-free, shard-per-thread metrics registry (DESIGN.md §8).
 //
-// The scheduler, the budget governor and the watchdog surface their event
-// counts here: process-monotonic u64 counters (forks, steals, refusals,
-// stalls, ...), each recorded with one relaxed fetch_add on a
+// The scheduler and the budget governor surface their event counts here:
+// process-monotonic u64 counters (forks, steals, refusals, deadline
+// expiries as `stalls`, ...), each recorded with one relaxed fetch_add on a
 // thread-private shard. The registry holds counters only; the bytes-live
 // peak is memory::bytes_peak (memory/tracking.hpp).
 //

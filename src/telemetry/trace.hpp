@@ -43,7 +43,7 @@ enum class trace_kind : std::uint8_t {
   region,
   job,
   block,
-  sched,  // scheduler decisions (det fork/steal, watchdog actions)
+  sched,  // scheduler decisions (det fork/steal, deadline expiries)
 };
 
 [[nodiscard]] inline const char* trace_kind_name(trace_kind k) {

@@ -47,12 +47,12 @@ namespace pbds::testing {
 
 // --- hostile-env isolation (PR 10) ------------------------------------------
 
-// CI exports PBDS_* knobs (an ambient budget, watchdog cadence, pool
-// size) around entire ctest runs; suites that inject their own budgets
-// and faults must not have their semantics silently rewritten by that
-// ambient environment. scoped_env snapshots every PBDS_* variable, unsets
-// the behavioral ones, and re-reads each first-touch env cache so the
-// cleared state is actually observed — then restores both on destruction.
+// CI exports PBDS_* knobs (an ambient budget, pool size) around entire
+// ctest runs; suites that inject their own budgets and faults must not
+// have their semantics silently rewritten by that ambient environment.
+// scoped_env snapshots every PBDS_* variable, unsets the behavioral ones,
+// and re-reads each first-touch env cache so the cleared state is actually
+// observed — then restores both on destruction.
 //
 // The structural replay knobs — PBDS_SEED and PBDS_NUM_THREADS — are
 // deliberately kept: they select WHICH schedule a sweep replays, not what

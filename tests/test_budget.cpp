@@ -1,5 +1,5 @@
 // Resource governance: memory budget admission, the propagation of a
-// refusal, and the scheduler watchdog (DESIGN.md §"Resource governance").
+// refusal, and region deadlines (DESIGN.md §"Resource governance").
 //
 // Invariants under test:
 //  * admission is byte-exact — an allocation landing exactly on the limit
@@ -11,9 +11,10 @@
 //    the pool reusable: from a tabulate of nested arrays, from flatten
 //    forcing its inner sequences, and from filter_op's pack, whose
 //    predicate still runs at most once per element;
-//  * the watchdog cancels a livelocked region (pbds::stall_detected) and
-//    the pool stays reusable; deadline overloads behave the same; the
-//    deterministic simulator's arm_stall_after replays from one seed.
+//  * a region past its deadline throws pbds::stall_detected at its root
+//    join; shielded construction inside it still builds every element;
+//    deterministic mode ignores deadlines, so its schedule replays from
+//    the seed alone.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -286,39 +287,9 @@ TEST(BudgetPropagation, FilterOpPredicateOnceRealPool) {
   sched::set_num_workers(before);
 }
 
-// --- watchdog ----------------------------------------------------------------
+// --- deadlines ---------------------------------------------------------------
 
-TEST(Watchdog, CancelsLivelockedRegion) {
-  unsigned before = sched::num_workers();
-  sched::set_num_workers(4);
-  sched::start_watchdog({/*period_ms=*/20, /*warn_intervals=*/1,
-                         /*cancel_intervals=*/3});
-  EXPECT_TRUE(sched::watchdog_running());
-  // Every leaf spins until the region is cancelled: no job ever completes,
-  // so the only way out is the watchdog detecting zero global progress and
-  // cancelling the region.
-  EXPECT_THROW(
-      parallel_for(
-          0, 64,
-          [](std::size_t) {
-            while (!sched::cancellation_requested()) std::this_thread::yield();
-          },
-          /*granularity=*/1),
-      stall_detected);
-  sched::stop_watchdog();
-  EXPECT_FALSE(sched::watchdog_running());
-  // The region collapsed through the ordinary protocol: the pool is
-  // quiescent and reusable.
-  sched::quiesce();
-  std::atomic<std::int64_t> sum{0};
-  parallel_for(0, 1000, [&](std::size_t i) {
-    sum.fetch_add(static_cast<std::int64_t>(i), std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 499500);
-  sched::set_num_workers(before);
-}
-
-TEST(Watchdog, DeadlineOverloadCancelsOverrunningRegion) {
+TEST(Deadline, DeadlineOverloadCancelsOverrunningRegion) {
   unsigned before = sched::num_workers();
   sched::set_num_workers(4);
   EXPECT_THROW(
@@ -336,11 +307,10 @@ TEST(Watchdog, DeadlineOverloadCancelsOverrunningRegion) {
       [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); },
       /*granularity=*/1, std::chrono::milliseconds(60000));
   EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(sched::active_tracked_regions(), 0u);
   sched::set_num_workers(before);
 }
 
-TEST(Watchdog, Fork2joinDeadlineOverload) {
+TEST(Deadline, Fork2joinDeadlineOverload) {
   unsigned before = sched::num_workers();
   sched::set_num_workers(4);
   EXPECT_THROW(
@@ -356,37 +326,61 @@ TEST(Watchdog, Fork2joinDeadlineOverload) {
   sched::set_num_workers(before);
 }
 
-// --- deterministic stall mirror ----------------------------------------------
+// A deterministic schedule must replay from its seed alone, so a deadline
+// has no effect in deterministic mode, even after a real-pool deadline
+// call: the loop below takes over ten times its deadline and must still
+// finish with the interleaving of the same loop without one.
+TEST(Deadline, IgnoredInDeterministicMode) {
+  unsigned before = sched::num_workers();
+  sched::set_num_workers(4);
+  parallel_for(
+      0, 64, [](std::size_t) {}, /*granularity=*/1,
+      std::chrono::milliseconds(60000));
+  sched::set_num_workers(before);
 
-TEST(DeterministicStall, ArmStallAfterReplaysFromSeed) {
-  std::uint64_t hash1 = 0;
-  std::uint64_t hash2 = 0;
-  for (int run = 0; run < 2; ++run) {
+  auto sleepy = [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  };
+  std::uint64_t with_deadline = 0;
+  {
     sched::scoped_deterministic det(7, 4);
-    det.scheduler().arm_stall_after(5);
-    bool stalled = false;
-    try {
-      parallel_for(
-          0, 4096, [](std::size_t) {}, /*granularity=*/1);
-    } catch (const stall_detected&) {
-      stalled = true;
-    }
-    EXPECT_TRUE(stalled);
-    (run == 0 ? hash1 : hash2) = det.scheduler().trace_hash();
+    EXPECT_NO_THROW(parallel_for(0, 64, sleepy, /*granularity=*/1,
+                                 std::chrono::milliseconds(10)));
+    with_deadline = det.scheduler().trace_hash();
   }
-  // Same seed + same injection point => identical interleaving trace.
-  EXPECT_EQ(hash1, hash2);
+  sched::scoped_deterministic det(7, 4);
+  parallel_for(0, 64, sleepy, /*granularity=*/1);
+  EXPECT_EQ(with_deadline, det.scheduler().trace_hash());
 }
 
-TEST(DeterministicStall, DisarmedRunsToCompletion) {
-  sched::scoped_deterministic det(7, 4);
-  det.scheduler().arm_stall_after(-1);
-  std::int64_t sum = 0;
-  // Sequential accumulation is safe: the simulator runs on one thread.
-  parallel_for(
-      0, 1000, [&](std::size_t i) { sum += static_cast<std::int64_t>(i); },
-      /*granularity=*/1);
-  EXPECT_EQ(sum, 499500);
+// The shield around to_array's construction loop suspends the deadline, so
+// a deadline that passes mid-construction cannot skip blocks and leave
+// slots unconstructed: every element is built by the user function, and
+// the region throws at its root join instead.
+TEST(Deadline, ShieldedConstructionCompletesPastDeadline) {
+  unsigned before = sched::num_workers();
+  sched::set_num_workers(4);
+  const std::size_t n = std::size_t{1} << 17;
+  const std::size_t blk = block_size();
+  std::atomic<std::size_t> built{0};
+  std::int64_t base = memory::bytes_live();
+  EXPECT_THROW(
+      fork2join(
+          [&] {
+            auto strings = delayed::to_array(delayed::map(
+                [&](std::size_t i) {
+                  if (i % blk == 0)
+                    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                  built.fetch_add(1, std::memory_order_relaxed);
+                  return std::to_string(i);
+                },
+                delayed::iota(n)));
+          },
+          [] {}, std::chrono::milliseconds(5)),
+      stall_detected);
+  EXPECT_EQ(built.load(), n);
+  EXPECT_EQ(memory::bytes_live(), base);
+  sched::set_num_workers(before);
 }
 
 }  // namespace

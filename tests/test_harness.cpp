@@ -138,9 +138,8 @@ TEST(Isolation, ChildMeasurementRoundTrips) {
         m.allocated_bytes = 67890;
         return m;
       },
-      /*timeout_sec=*/30, /*max_retries=*/0);
+      /*timeout_sec=*/30);
   ASSERT_EQ(r.status, bc::run_status::ok);
-  EXPECT_EQ(r.attempts, 1);
   EXPECT_DOUBLE_EQ(r.m.seconds, 1.5);
   EXPECT_EQ(r.m.peak_bytes, 12345);
   EXPECT_EQ(r.m.allocated_bytes, 67890);
@@ -152,33 +151,29 @@ TEST(Isolation, TimeoutKillsWedgedChild) {
         for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
         return bc::measurement{};
       },
-      /*timeout_sec=*/0.3, /*max_retries=*/0);
+      /*timeout_sec=*/0.3);
   EXPECT_EQ(r.status, bc::run_status::timeout);
-  EXPECT_EQ(r.attempts, 1);
 }
 
-TEST(Isolation, CrashIsClassifiedAndRetriedBoundedly) {
-  auto r = bc::run_isolated(
-      []() -> bc::measurement { std::abort(); },
-      /*timeout_sec=*/30, /*max_retries=*/2, /*backoff_ms=*/1);
+TEST(Isolation, CrashIsClassified) {
+  auto r = bc::run_isolated([]() -> bc::measurement { std::abort(); },
+                            /*timeout_sec=*/30);
   EXPECT_EQ(r.status, bc::run_status::crashed);
-  EXPECT_EQ(r.attempts, 3);  // initial + 2 retries, then gave up
 }
 
-TEST(Isolation, BudgetRefusalIsNotRetried) {
+TEST(Isolation, BudgetRefusalIsClassified) {
   auto r = bc::run_isolated(
       []() -> bc::measurement {
         throw pbds::budget_exceeded(1024, 0, 512);
       },
-      /*timeout_sec=*/30, /*max_retries=*/3, /*backoff_ms=*/1);
+      /*timeout_sec=*/30);
   EXPECT_EQ(r.status, bc::run_status::budget_exceeded);
-  EXPECT_EQ(r.attempts, 1);  // deterministic refusal: no point retrying
 }
 
 TEST(Isolation, NonzeroExitIsError) {
   auto r = bc::run_isolated(
       []() -> bc::measurement { throw std::runtime_error("boom"); },
-      /*timeout_sec=*/30, /*max_retries=*/0);
+      /*timeout_sec=*/30);
   EXPECT_EQ(r.status, bc::run_status::error);
 }
 
@@ -191,7 +186,7 @@ TEST(JsonReport, ValidAfterEveryRecord) {
   m.seconds = 0.25;
   m.peak_bytes = 1024;
   m.allocated_bytes = 2048;
-  report.add({"linefit", "delay", bc::run_status::ok, 1, m});
+  report.add({"linefit", "delay", bc::run_status::ok, m});
 
   auto slurp = [&] {
     std::FILE* f = std::fopen(path.c_str(), "r");
@@ -209,12 +204,10 @@ TEST(JsonReport, ValidAfterEveryRecord) {
 
   // A timed-out configuration is recorded too, and the file stays a
   // complete JSON document after the partial rewrite.
-  report.add({"bfs", "array", bc::run_status::timeout, 2,
-              bc::measurement{}});
+  report.add({"bfs", "array", bc::run_status::timeout, bc::measurement{}});
   std::string two = slurp();
   EXPECT_NE(two.find("\"name\": \"bfs\""), std::string::npos);
   EXPECT_NE(two.find("\"status\": \"timeout\""), std::string::npos);
-  EXPECT_NE(two.find("\"attempts\": 2"), std::string::npos);
   EXPECT_EQ(two.front(), '[');
   std::remove(path.c_str());
 }
@@ -225,7 +218,6 @@ TEST(JsonReport, ExtraNumericFieldsAreEmitted) {
   report.add({"soak",
               "delay",
               bc::run_status::ok,
-              1,
               bc::measurement{},
               {{"throughput_jobs_per_s", 125.5}, {"shed_rate", 0.25}}});
   ASSERT_TRUE(report.ok());
@@ -248,11 +240,11 @@ TEST(JsonReport, WriteFailureKeepsPreviousReportAndSetsError) {
   std::string tmp = path + ".tmp";
   std::remove(path.c_str());
   bc::json_report report(path);
-  report.add({"first", "delay", bc::run_status::ok, 1, bc::measurement{}});
+  report.add({"first", "delay", bc::run_status::ok, bc::measurement{}});
   ASSERT_TRUE(report.ok());
 
   ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
-  report.add({"second", "delay", bc::run_status::ok, 1, bc::measurement{}});
+  report.add({"second", "delay", bc::run_status::ok, bc::measurement{}});
   EXPECT_FALSE(report.ok());
   EXPECT_FALSE(report.last_error().empty());
   // The published report is still the last complete one.
@@ -269,7 +261,7 @@ TEST(JsonReport, WriteFailureKeepsPreviousReportAndSetsError) {
   // Once the obstruction clears, the next add recovers and publishes both
   // records.
   ASSERT_EQ(::rmdir(tmp.c_str()), 0);
-  report.add({"third", "delay", bc::run_status::ok, 1, bc::measurement{}});
+  report.add({"third", "delay", bc::run_status::ok, bc::measurement{}});
   EXPECT_TRUE(report.ok());
   f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -288,7 +280,7 @@ TEST(JsonReport, RenameFailureCleansUpTmpFile) {
   std::string path = ::testing::TempDir() + "pbds_report_dir.json";
   ASSERT_EQ(::mkdir(path.c_str(), 0700), 0);
   bc::json_report report(path);
-  report.add({"only", "delay", bc::run_status::ok, 1, bc::measurement{}});
+  report.add({"only", "delay", bc::run_status::ok, bc::measurement{}});
   EXPECT_FALSE(report.ok());
   EXPECT_FALSE(report.last_error().empty());
   std::FILE* f = std::fopen((path + ".tmp").c_str(), "r");

@@ -5,11 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -311,92 +309,21 @@ TEST(Scheduler, JoinWakesPromptlyAfterStolenBranch) {
       << " µs after its stolen branch finished";
 }
 
-TEST(Scheduler, QuiesceDeadlineThrowsWithProgress) {
-  unsigned before = pbds::sched::num_workers();
-  pbds::sched::set_num_workers(4);
-
-  std::atomic<bool> right_started{false};
-  std::atomic<bool> release{false};
-  std::atomic<bool> quiesce_threw{false};
-
-  std::thread prober([&] {
-    while (!right_started.load(std::memory_order_acquire))
-      std::this_thread::yield();
-    // A spawned worker is pinned inside the right branch until released,
-    // so the bounded quiesce must give up and throw rather than spin.
-    try {
-      pbds::sched::quiesce(std::chrono::milliseconds(50));
-    } catch (const pbds::stall_detected&) {
-      quiesce_threw.store(true, std::memory_order_release);
-    }
-    release.store(true, std::memory_order_release);
-  });
-
-  fork2join(
-      [&] {
-        // Left (run by worker 0 first): hold the fork open until the
-        // right branch has been stolen, guaranteeing a busy worker.
-        while (!right_started.load(std::memory_order_acquire))
-          std::this_thread::yield();
-      },
-      [&] {
-        right_started.store(true, std::memory_order_release);
-        while (!release.load(std::memory_order_acquire))
-          std::this_thread::yield();
-      });
-  prober.join();
-
-  EXPECT_TRUE(quiesce_threw.load());
-  // With the pool drained, the unbounded form returns promptly.
-  pbds::sched::quiesce();
-  pbds::sched::set_num_workers(before);
-}
-
-TEST(Scheduler, DumpWorkerStatsReportsWorkersAndDeque) {
-  unsigned before = pbds::sched::num_workers();
-  pbds::sched::set_num_workers(2);
-  std::atomic<std::uint64_t> sum{0};
-  parallel_for(
-      0, 1 << 10,
-      [&](std::size_t i) { sum.fetch_add(i, std::memory_order_relaxed); },
-      128);
-
-  char* buf = nullptr;
-  std::size_t len = 0;
-  std::FILE* mem = open_memstream(&buf, &len);
-  ASSERT_NE(mem, nullptr);
-  {
-    std::lock_guard<std::mutex> lock(
-        pbds::sched::detail::scheduler_slot_mutex());
-    auto& slot = pbds::sched::detail::global_slot();
-    ASSERT_TRUE(slot);
-    slot->dump_worker_stats(mem);
-  }
-  std::fclose(mem);
-  std::string out(buf, len);
-  free(buf);
-
-  EXPECT_NE(out.find("worker 0"), std::string::npos);
-  EXPECT_NE(out.find("worker 1"), std::string::npos);
-  EXPECT_NE(out.find("deque="), std::string::npos);
-  pbds::sched::set_num_workers(before);
-}
-
 TEST(EnvKnobs, UnknownPbdsVariableWarnsExactlyOnce) {
-  ::setenv("PBDS_WATCHDOG_SM", "1", 1);  // deliberate typo
+  ::setenv("PBDS_BUDGET_BYTE", "1", 1);  // deliberate typo
   ::testing::internal::CaptureStderr();
   pbds::detail::warn_unknown_pbds_env();
   std::string first = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(first.find("PBDS_WATCHDOG_SM"), std::string::npos)
+  EXPECT_NE(first.find("PBDS_BUDGET_BYTE"), std::string::npos)
       << "typo'd knob did not warn";
   // Known knobs must never be flagged.
-  EXPECT_EQ(first.find("variable PBDS_WATCHDOG_MS "), std::string::npos);
+  EXPECT_EQ(first.find("variable PBDS_BUDGET_BYTES "), std::string::npos);
   ::testing::internal::CaptureStderr();
   pbds::detail::warn_unknown_pbds_env();
-  EXPECT_EQ(::testing::internal::GetCapturedStderr().find("PBDS_WATCHDOG_SM"),
+  EXPECT_EQ(::testing::internal::GetCapturedStderr().find("PBDS_BUDGET_BYTE"),
             std::string::npos)
       << "warn-once fired twice";
-  ::unsetenv("PBDS_WATCHDOG_SM");
+  ::unsetenv("PBDS_BUDGET_BYTE");
 }
 
 }  // namespace

@@ -136,14 +136,14 @@ TEST_F(Telemetry, ScopedEnvReloadsBudgetCache) {
   EXPECT_EQ(pbds::memory::budget_limit(), 16777216);
   {
     pbds::testing::scoped_env inner;
-    EXPECT_FALSE(pbds::memory::budget_active())
+    EXPECT_EQ(pbds::memory::budget_limit(), 0)
         << "scoped_env failed to clear the ambient budget";
   }
   EXPECT_EQ(pbds::memory::budget_limit(), 16777216)
       << "scoped_env failed to restore the ambient budget";
   ::unsetenv("PBDS_BUDGET_BYTES");
   pbds::memory::reload_budget_limit_from_env();
-  EXPECT_FALSE(pbds::memory::budget_active());
+  EXPECT_EQ(pbds::memory::budget_limit(), 0);
 }
 
 // --- det-vs-real parity ------------------------------------------------------
