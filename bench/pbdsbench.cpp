@@ -244,6 +244,10 @@ cli parse_cli(int argc, char** argv) {
   // flags, so they are not overwritten.
   int repeat_override = -1;
   double warmup_override = -1;
+  // --list and --help act only after options::parse has checked every
+  // argument, so neither hides a misspelled flag.
+  bool list = false;
+  bool help = false;
   for (int i = 1; i < argc; ++i) {
     auto is = [&](const char* f) { return std::strcmp(argv[i], f) == 0; };
     if (is("--bench")) {
@@ -301,40 +305,47 @@ cli parse_cli(int argc, char** argv) {
           bd::require_value("--inject-slowdown", i, argc, argv), 0.0,
           /*inclusive=*/false);
     } else if (is("--list")) {
-      for (const auto& [name, e] : registry()) {
-        std::printf("%-12s (default n = %zu)\n", name.c_str(), e.default_n);
-      }
-      std::exit(0);
+      list = true;
     } else if (is("--help") || is("-h")) {
-      std::printf(
-          "usage: %s [--bench NAME|all] [--impl array|rad|delay|all]\n"
-          "          [-n SIZE] [-repeat R] [-warmup SECONDS] [--list]\n"
-          "          [--json PATH] [--isolate] [--timeout SECONDS]\n"
-          "          [--metrics] [--metrics-overhead]\n"
-          "          [--baseline REPORT.json] [--threshold X]\n"
-          "          [--bytes-threshold X] [--inject-slowdown F]\n"
-          "--metrics dumps the telemetry registry's counters after the\n"
-          "run, into the --json extras when set\n"
-          "--metrics-overhead A/Bs the metrics-recording cost (registry\n"
-          "on vs off) on a fused-reduce kernel and records\n"
-          "overhead_ratio (CI gates it at 1.05)\n"
-          "--baseline replays every ok row of a committed --json report at\n"
-          "its recorded n and exits 1 if any fresh median exceeds\n"
-          "baseline*(1+--threshold) or allocated bytes exceed\n"
-          "baseline*(1+--bytes-threshold); negative --bytes-threshold\n"
-          "disables the bytes check. --inject-slowdown F multiplies the\n"
-          "fresh medians first (comparator self-test: 2 must fail).\n",
-          argv[0]);
-      std::exit(0);
+      help = true;
     } else {
       passthrough.push_back(argv[i]);
     }
   }
-  // Remaining flags (e.g. --scale) go to the common parser.
+  // Remaining flags (e.g. --scale) go to the common parser, which exits 2
+  // on any it does not know.
   c.opt = options::parse(static_cast<int>(passthrough.size()),
                          passthrough.data());
   if (repeat_override >= 0) c.opt.repeat = repeat_override;
   if (warmup_override >= 0) c.opt.warmup = warmup_override;
+  if (help) {
+    std::printf(
+        "usage: %s [--bench NAME|all] [--impl array|rad|delay|all]\n"
+        "          [-n SIZE] [-repeat R] [-warmup SECONDS] [--list]\n"
+        "          [--json PATH] [--isolate] [--timeout SECONDS]\n"
+        "          [--metrics] [--metrics-overhead]\n"
+        "          [--baseline REPORT.json] [--threshold X]\n"
+        "          [--bytes-threshold X] [--inject-slowdown F]\n"
+        "--metrics dumps the telemetry registry's counters after the\n"
+        "run, into the --json extras when set\n"
+        "--metrics-overhead A/Bs the metrics-recording cost (registry\n"
+        "on vs off) on a fused-reduce kernel and records\n"
+        "overhead_ratio (CI gates it at 1.05)\n"
+        "--baseline replays every ok row of a committed --json report at\n"
+        "its recorded n and exits 1 if any fresh median exceeds\n"
+        "baseline*(1+--threshold) or allocated bytes exceed\n"
+        "baseline*(1+--bytes-threshold); negative --bytes-threshold\n"
+        "disables the bytes check. --inject-slowdown F multiplies the\n"
+        "fresh medians first (comparator self-test: 2 must fail).\n",
+        argv[0]);
+    std::exit(0);
+  }
+  if (list) {
+    for (const auto& [name, e] : registry()) {
+      std::printf("%-12s (default n = %zu)\n", name.c_str(), e.default_n);
+    }
+    std::exit(0);
+  }
   return c;
 }
 

@@ -3,8 +3,10 @@
 //
 // The per-round pipeline  flatten(map outPairs frontier) |> filterOp tryVisit
 // never materializes the edge list: with block-delayed sequences the
-// flattened (parent, neighbor) pairs stream straight into the CAS-packing
-// filter, allocating O(frontier + edges/B) per round instead of O(edges).
+// flattened (parent, neighbor) pairs stream straight into the filter, which
+// packs the targets tryVisit claims (a compare-and-swap tried only on an
+// unvisited target), allocating O(frontier + edges/B) per round instead of
+// O(edges).
 //
 // Usage: graph_bfs [scale] [edges]     (defaults: scale 18, 3M edges)
 #include <cstdio>

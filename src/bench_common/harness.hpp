@@ -95,11 +95,14 @@ struct options {
   double warmup = 0.25; // seconds of back-to-back warmup
   std::vector<unsigned> procs;  // worker counts to sweep (fig15)
 
-  // Unrecognized arguments are ignored (benchmark mains layer their own
-  // flags on top); recognized flags have their values validated strictly
-  // and exit(2) with a message on malformed input.
+  // Every argument must be one of the flags below: an unknown one, or a
+  // malformed value, exits(2) with a message naming it, so a misspelled
+  // flag cannot run silently with its default. Mains that add flags of
+  // their own remove them before calling this. --help acts only once every
+  // argument has been checked.
   static options parse(int argc, char** argv) {
     options o;
+    bool help = false;
     for (int i = 1; i < argc; ++i) {
       auto is = [&](const char* f) { return std::strcmp(argv[i], f) == 0; };
       if (is("--scale")) {
@@ -142,12 +145,19 @@ struct options {
           p = end + 1;
         }
       } else if (is("--help") || is("-h")) {
-        std::printf(
-            "usage: %s [--scale S] [--repeat R] [--warmup SECONDS] "
-            "[--procs P1,P2,...]\n",
-            argv[0]);
-        std::exit(0);
+        help = true;
+      } else {
+        std::fprintf(stderr, "error: unknown argument '%s' (see --help)\n",
+                     argv[i]);
+        std::exit(2);
       }
+    }
+    if (help) {
+      std::printf(
+          "usage: %s [--scale S] [--repeat R] [--warmup SECONDS] "
+          "[--procs P1,P2,...]\n",
+          argv[0]);
+      std::exit(0);
     }
     return o;
   }

@@ -143,10 +143,6 @@ inline thread_local std::chrono::steady_clock::time_point tl_deadline =
     std::chrono::steady_clock::time_point::max();
 }  // namespace detail
 
-[[nodiscard]] inline cancel_state* current_cancel() noexcept {
-  return detail::tl_cancel;
-}
-
 // True iff the current thread works for a region that has failed or passed
 // its deadline — the signal to bail at the next fork or chunk boundary.
 [[nodiscard]] inline bool cancellation_requested() noexcept {

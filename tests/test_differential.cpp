@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "benchmarks/bestcut.hpp"
+#include "benchmarks/bfs.hpp"
 #include "benchmarks/bignum_add.hpp"
 #include "benchmarks/grep.hpp"
 #include "benchmarks/integrate.hpp"
@@ -31,6 +32,7 @@
 #include "benchmarks/tokens.hpp"
 #include "benchmarks/wc.hpp"
 #include "differential.hpp"
+#include "graph/graph.hpp"
 #include "memory/counting_allocator.hpp"
 #include "text/text.hpp"
 
@@ -205,6 +207,35 @@ std::vector<diff_case> build_cases() {
     for (const auto& b : got) {
       put(d, static_cast<double>(b.postings));
       put(d, static_cast<double>(b.doc_hash % (1ull << 52)));
+    }
+    return d;
+  }));
+  // Which racing tryVisit wins a vertex depends on the schedule; its BFS
+  // level does not. The digest is each vertex's level, read off the parent
+  // array (-1 unreached). A chain longer than n, or a parent out of range,
+  // digests as -2, so a broken parent array fails instead of hanging.
+  cases.push_back(make_diff_case("kernel/bfs", []<typename P>() {
+    auto parent = bench::bfs<P>(graph::rmat(10, 6000), 0);
+    const std::size_t n = parent.size();
+    digest d;
+    for (std::size_t v = 0; v < n; ++v) {
+      std::size_t u = v;
+      double level = 0;
+      for (;;) {
+        graph::vertex p = parent[u].load(std::memory_order_relaxed);
+        if (p == graph::kNoVertex) {
+          level = -1;
+          break;
+        }
+        if (p == u) break;
+        if (p >= n || level >= static_cast<double>(n)) {
+          level = -2;
+          break;
+        }
+        u = p;
+        ++level;
+      }
+      put(d, level);
     }
     return d;
   }));

@@ -127,6 +127,17 @@ TEST(HarnessDeathTest, RejectsMissingValue) {
               "requires a value");
 }
 
+// A misspelled or removed flag must not run silently with its default,
+// and --help must not exit 0 before the arguments after it are checked.
+TEST(HarnessDeathTest, RejectsUnknownFlag) {
+  EXPECT_EXIT(parse({"--threshhold", "3.0"}), ::testing::ExitedWithCode(2),
+              "unknown argument '--threshhold'");
+  EXPECT_EXIT(parse({"--scale", "0.5", "--retries", "2"}),
+              ::testing::ExitedWithCode(2), "unknown argument '--retries'");
+  EXPECT_EXIT(parse({"--help", "--bogus"}), ::testing::ExitedWithCode(2),
+              "unknown argument '--bogus'");
+}
+
 // --- subprocess isolation ------------------------------------------------------
 
 TEST(Isolation, ChildMeasurementRoundTrips) {

@@ -57,14 +57,24 @@ TEST_P(ThreadsTest, LinearrecBitwiseIdenticalAcrossP) {
   for (std::size_t i = 0; i < r.size(); ++i) ASSERT_EQ(r[i], r1[i]) << i;
 }
 
-TEST_P(ThreadsTest, BfsValidUnderContention) {
-  // Racy tryVisit CAS: any winner is fine, the tree must stay valid.
-  auto g = graph::rmat(12, 60'000);
+template <typename P>
+void expect_valid_bfs_trees(const graph::csr_graph& g) {
   for (int round = 0; round < 3; ++round) {
-    auto parent = bfs<delay_policy>(g, 0);
+    auto parent = bfs<P>(g, 0);
     EXPECT_TRUE(graph::check_bfs_tree(g, 0, [&](std::size_t v) {
       return parent[v].load(std::memory_order_relaxed);
-    }));
+    })) << "round " << round;
+  }
+}
+
+TEST_P(ThreadsTest, BfsValidUnderContention) {
+  // Racy tryVisit CAS: any winner is fine, the tree must stay valid. The
+  // second graph has 256 vertices of about 234 edges each, so nearly
+  // every edge finds its target visited and first visits race.
+  for (const auto& g : {graph::rmat(12, 60'000), graph::rmat(8, 60'000)}) {
+    expect_valid_bfs_trees<array_policy>(g);
+    expect_valid_bfs_trees<rad_policy>(g);
+    expect_valid_bfs_trees<delay_policy>(g);
   }
 }
 
