@@ -2,16 +2,20 @@
 // scan(3 phases) -> map -> reduce), normal vs fused, from the analytic
 // model in src/cost/rw_model.hpp. Also prints the §3 forced-map variant
 // (4n + O(b)) and cross-checks the totals against the closed forms the
-// paper states (8n + O(b) normal, 2n + O(b) fused).
+// paper states (8n + O(b) normal, 2n + O(b) fused). --scale multiplies n;
+// --repeat and --warmup are accepted and have nothing to time.
 #include <cstdio>
 #include <string>
 
+#include "bench_common/harness.hpp"
 #include "core/block.hpp"
 #include "cost/rw_model.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pbds::cost;  // NOLINT
-  double n = 200e6;  // the paper's bestcut input size
+  auto opts = pbds::bench_common::options::parse(argc, argv);
+  // The paper's bestcut input size.
+  double n = static_cast<double>(opts.scaled(200'000'000));
   double b = n / static_cast<double>(pbds::block_size());
 
   std::printf("=== Fig. 5: best-cut reads/writes, n = %.0f, b = %.0f ===\n\n",

@@ -5,8 +5,11 @@
 // executable model (src/cost) for a concrete n and block size and prints
 // the table, so the asymptotic rows can be read as numbers: e.g. scan's
 // eager allocation is |X|/B, visible here as exactly n/B partials.
+// --scale multiplies n; --repeat and --warmup are accepted and have
+// nothing to time.
 #include <cstdio>
 
+#include "bench_common/harness.hpp"
 #include "core/block.hpp"
 #include "cost/cost.hpp"
 
@@ -24,8 +27,9 @@ void print_row(const char* name, const char* repr_s, const costs& eager,
 
 }  // namespace
 
-int main() {
-  std::size_t n = 1'000'000;
+int main(int argc, char** argv) {
+  auto opts = pbds::bench_common::options::parse(argc, argv);
+  std::size_t n = opts.scaled(1'000'000);
   std::size_t B = pbds::block_size();
   std::printf("=== Fig. 11: cost semantics, evaluated at n = %zu, B = %zu ===\n\n",
               n, B);

@@ -9,17 +9,30 @@
 // O(edges).
 //
 // Usage: graph_bfs [scale] [edges]     (defaults: scale 18, 3M edges)
+//
+// A non-numeric or out-of-range argument exits 2 with a message naming it.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "bench_common/harness.hpp"
 #include "benchmarks/bfs.hpp"
 #include "benchmarks/policies.hpp"
 #include "memory/tracking.hpp"
 
 int main(int argc, char** argv) {
-  unsigned scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 18;
-  std::size_t edges = argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2]))
-                               : 3'000'000;
+  using pbds::bench_common::detail::parse_long_arg;
+  if (argc > 3) {
+    std::fprintf(stderr, "usage: %s [scale] [edges]\n", argv[0]);
+    return 2;
+  }
+  // Vertex ids are 32-bit.
+  unsigned scale =
+      argc > 1 ? static_cast<unsigned>(parse_long_arg("scale", argv[1], 0, 31))
+               : 18;
+  std::size_t edges =
+      argc > 2 ? static_cast<std::size_t>(parse_long_arg(
+                     "edges", argv[2], 1, std::numeric_limits<long>::max()))
+               : 3'000'000;
   std::printf("generating R-MAT graph: 2^%u vertices, %zu edges...\n", scale,
               edges);
   auto g = pbds::graph::rmat(scale, edges);

@@ -7,10 +7,13 @@
 // per-row temporary each iteration.
 //
 // Usage: pagerank [scale] [edges] [iters]   (defaults 16, 1M, 10)
+//
+// A non-numeric or out-of-range argument exits 2 with a message naming it.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "bench_common/harness.hpp"
 #include "core/delayed.hpp"
 #include "graph/graph.hpp"
 #include "memory/tracking.hpp"
@@ -20,10 +23,23 @@ using pbds::graph::csr_graph;
 using pbds::graph::vertex;
 
 int main(int argc, char** argv) {
-  unsigned scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 16;
-  std::size_t m = argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2]))
-                           : 1'000'000;
-  int iters = argc > 3 ? std::atoi(argv[3]) : 10;
+  using pbds::bench_common::detail::parse_long_arg;
+  if (argc > 4) {
+    std::fprintf(stderr, "usage: %s [scale] [edges] [iters]\n", argv[0]);
+    return 2;
+  }
+  // Vertex ids are 32-bit.
+  unsigned scale =
+      argc > 1 ? static_cast<unsigned>(parse_long_arg("scale", argv[1], 0, 31))
+               : 16;
+  std::size_t m =
+      argc > 2 ? static_cast<std::size_t>(parse_long_arg(
+                     "edges", argv[2], 1, std::numeric_limits<long>::max()))
+               : 1'000'000;
+  int iters = argc > 3 ? static_cast<int>(parse_long_arg(
+                             "iters", argv[3], 1,
+                             std::numeric_limits<int>::max()))
+                       : 10;
 
   // Build the graph and its transpose (in-edges), plus out-degrees.
   auto g = pbds::graph::rmat(scale, m);

@@ -4,10 +4,13 @@
 // express. Compares the three libraries end to end.
 //
 // Usage: prime_sieve [n]       (default: all primes below 10M)
+//
+// A non-numeric or out-of-range argument exits 2 with a message naming it.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "bench_common/harness.hpp"
 #include "benchmarks/policies.hpp"
 #include "benchmarks/primes.hpp"
 #include "memory/tracking.hpp"
@@ -35,7 +38,14 @@ void run(const char* name, std::int64_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 10'000'000;
+  using pbds::bench_common::detail::parse_long_arg;
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [n]\n", argv[0]);
+    return 2;
+  }
+  std::int64_t n =
+      argc > 1 ? parse_long_arg("n", argv[1], 2, std::numeric_limits<long>::max())
+               : 10'000'000;
   run<pbds::array_policy>("array", n);
   run<pbds::rad_policy>("rad", n);
   run<pbds::delay_policy>("delay", n);

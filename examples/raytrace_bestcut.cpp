@@ -9,11 +9,13 @@
 // this example measures both so you can see the crossover.
 //
 // Usage: raytrace_bestcut [n]       (default 8M events)
+//
+// A non-numeric or out-of-range argument exits 2 with a message naming it.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
+#include "bench_common/harness.hpp"
 #include "benchmarks/bestcut.hpp"
 #include "core/delayed.hpp"
 #include "memory/tracking.hpp"
@@ -60,8 +62,15 @@ double run(const char* name, const pbds::parray<axis_event>& events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t n = argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1]))
-                           : 8'000'000;
+  using pbds::bench_common::detail::parse_long_arg;
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [n]\n", argv[0]);
+    return 2;
+  }
+  std::size_t n =
+      argc > 1 ? static_cast<std::size_t>(parse_long_arg(
+                     "n", argv[1], 1, std::numeric_limits<long>::max()))
+               : 8'000'000;
   auto events = bestcut_input(n);
   double a = run("fused (2n)", events, /*force_map=*/false);
   double b = run("forced (4n)", events, /*force_map=*/true);

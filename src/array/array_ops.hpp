@@ -145,19 +145,31 @@ template <typename Pieces>
 
 // Exclusive scan-plus over piece sizes; offsets[k] = flat start of piece k,
 // offsets[count] = total. Shared by filter/filter_op/flatten here and by
-// the delayed library's filter/flatten.
+// the delayed library's filter/flatten. The sizes are a tabulate stream
+// fused into the blocked scan (count can be large for flatten), whose
+// output blocks are written straight into the offsets: no sizes or
+// prefix array, and no copy.
 template <typename SizeFn>
 [[nodiscard]] std::pair<parray<std::size_t>, std::size_t> size_offsets(
     std::size_t count, const SizeFn& size_of) {
-  auto sizes = parray<std::size_t>::tabulate(count, size_of);
   auto offsets = parray<std::size_t>::uninitialized(count + 1);
-  // Blocked parallel scan over the sizes (count can be large for flatten);
-  // a named plus, so every size_offsets shares one scan instantiation.
-  auto [pre, total] = scan(std::plus<std::size_t>{}, std::size_t{0}, sizes);
-  std::size_t* q = offsets.data();
-  const std::size_t* p = pre.data();
-  parallel_for(0, count, [q, p](std::size_t i) { q[i] = p[i]; });
-  q[count] = total;
+  auto size_at = [&size_of](std::size_t k) -> std::size_t {
+    return size_of(k);
+  };
+  std::size_t blk = block_size();
+  auto sizes = make_bid(count, blk, [size_at, blk](std::size_t j) {
+    return stream::tabulate_stream{size_at, j * blk};
+  });
+  // scan_blocks returns (finish's result, total); only the total is used.
+  std::size_t total =
+      blocked::scan_blocks<stream::scan_stream>(
+          sizes, std::plus<std::size_t>{}, std::size_t{0},
+          [&offsets](const auto& bd) {
+            blocked::fill_blocks(bd, offsets.data());
+            return bd.n;
+          })
+          .second;
+  offsets[count] = total;
   return {std::move(offsets), total};
 }
 

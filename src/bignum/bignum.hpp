@@ -21,7 +21,9 @@ namespace pbds::bignum {
 
 using digit = std::uint8_t;
 
-// Carry symbols, ordered so the combine below is branch-light.
+// Carry symbols, in the order of the digit-pair sums they classify
+// (below, at and above 255), so classify is two comparisons added
+// together rather than a branch on every digit, and combine a select.
 enum class carry : std::uint8_t { kill = 0, propagate = 1, generate = 2 };
 
 // The associative carry-resolution operator (identity: propagate).
@@ -31,8 +33,7 @@ constexpr carry combine(carry x, carry y) noexcept {
 
 // Carry symbol for a digit-pair sum in [0, 510].
 constexpr carry classify(unsigned sum) noexcept {
-  return sum > 255u ? carry::generate
-                    : (sum == 255u ? carry::propagate : carry::kill);
+  return static_cast<carry>((sum >= 255u) + (sum > 255u));
 }
 
 // Final digit given the pairwise sum and the incoming carry symbol.

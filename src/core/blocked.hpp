@@ -172,7 +172,8 @@ template <typename Bid, typename Step, typename C, typename T>
 // (finish(output BID), total), with finish run while the sums are live:
 // Ours passes std::identity and returns the BID; A and R pass
 // `materialized`, so their arrays are allocated in the order, and live
-// as long as, a hand-written three-phase scan's.
+// as long as, a hand-written three-phase scan's; array_ops::size_offsets
+// fills the offsets array it already holds.
 template <template <typename, typename> class Stream, typename Bid,
           typename F, typename T, typename Finish>
 [[nodiscard]] auto scan_blocks(const Bid& bd, const F& f, const T& z,

@@ -460,7 +460,10 @@ struct staged_range {
 // blocked::pack_blocks). The block is consumed in chunks of at most the
 // stage's capacity: keep(x, dst) constructs x's survivor at dst and
 // returns true, or returns false, and each chunk's survivors are then
-// moved to the end of out. A block that fits one chunk therefore
+// moved to the end of out. The cursor advances by keep's result, so a
+// keep for a trivially destructible U may also construct every candidate
+// at dst and return whether it survives: an unkept one is overwritten by
+// the next and needs no destructor. A block that fits one chunk therefore
 // allocates once, exactly its survivor count, and a block with no
 // survivors not at all; later chunks grow out at least geometrically.
 // The stream and the write cursor stay locals of the loop. Each chunk is
@@ -479,7 +482,7 @@ void pack_into(S s, std::size_t n, const Keep& keep,
     // cur stays a variable the unwinder sees (staged_range), not loop
     // state.
     each(s, c, 0, [&keep, &cur](int, auto&& x) {
-      if (keep(std::forward<decltype(x)>(x), cur)) ++cur;
+      cur += keep(std::forward<decltype(x)>(x), cur);
       return 0;
     });
     if (cur != first) {
@@ -497,19 +500,36 @@ void pack_into(S s, std::size_t n, const Keep& keep,
 
 }  // namespace detail
 
-// s.packToArray: append the elements of s that satisfy p to out.
+// s.packToArray: append the elements of s that satisfy p to out. An
+// element type with a trivial copy and a trivial destructor packs without
+// a branch on p, which is a coin flip when about half the elements
+// survive (quickhull's splits): every candidate is copied into the stage
+// and the cursor advances by p's result. Other types are constructed only
+// when p keeps them.
 template <typename S, typename P>
 void pack(S s, std::size_t n, const P& p,
           memory::tracked_vector<typename S::value_type>& out) {
   using T = typename S::value_type;
-  detail::pack_into(
-      std::move(s), n,
-      [&p](auto&& x, T* dst) {
-        if (!p(x)) return false;
-        ::new (static_cast<void*>(dst)) T(std::forward<decltype(x)>(x));
-        return true;
-      },
-      out);
+  if constexpr (std::is_trivially_copy_constructible_v<T> &&
+                std::is_trivially_destructible_v<T>) {
+    detail::pack_into(
+        std::move(s), n,
+        [&p](const T& x, T* dst) {
+          const bool keep = static_cast<bool>(p(x));
+          ::new (static_cast<void*>(dst)) T(x);
+          return keep;
+        },
+        out);
+  } else {
+    detail::pack_into(
+        std::move(s), n,
+        [&p](auto&& x, T* dst) {
+          if (!p(x)) return false;
+          ::new (static_cast<void*>(dst)) T(std::forward<decltype(x)>(x));
+          return true;
+        },
+        out);
+  }
 }
 
 // packToArray for filterOp / mapMaybe: f returns std::optional<U>; append

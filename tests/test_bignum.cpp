@@ -17,6 +17,13 @@ TEST(Bignum, ClassifyBoundaries) {
   EXPECT_EQ(bn::classify(255), carry::propagate);
   EXPECT_EQ(bn::classify(256), carry::generate);
   EXPECT_EQ(bn::classify(510), carry::generate);
+  // Every digit-pair sum.
+  for (unsigned sum = 0; sum <= 510; ++sum) {
+    carry want = sum < 255 ? carry::kill
+                 : sum == 255 ? carry::propagate
+                              : carry::generate;
+    EXPECT_EQ(bn::classify(sum), want) << "sum " << sum;
+  }
 }
 
 TEST(Bignum, CombineSemantics) {

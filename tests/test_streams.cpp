@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "geom/geom.hpp"
 #include "memory/tracking.hpp"
 #include "stream/streams.hpp"
 
@@ -164,6 +165,8 @@ T make_elem(std::size_t i) {
     return std::make_unique<int>(static_cast<int>(i));
   else if constexpr (std::is_same_v<T, std::int64_t>)
     return static_cast<std::int64_t>(i);
+  else if constexpr (std::is_same_v<T, pbds::geom::point2d>)
+    return T{static_cast<double>(i), -static_cast<double>(i)};
   else
     return T(static_cast<std::uint8_t>(i), static_cast<std::uint32_t>(i));
 }
@@ -175,6 +178,9 @@ std::size_t index_of(std::int64_t x) { return static_cast<std::size_t>(x); }
 std::size_t index_of(const std::pair<std::uint8_t, std::uint32_t>& x) {
   return x.second;
 }
+std::size_t index_of(const pbds::geom::point2d& x) {
+  return static_cast<std::size_t>(x.x);
+}
 
 // i * 37 permutes 0..2047 modulo 2048, so exactly 1000 of every 2048
 // consecutive indices survive.
@@ -182,16 +188,22 @@ bool survives(std::size_t i) { return (i * 37) % 2048 < 1000; }
 
 // Packs n elements of a tabulated block (and, for copyable T, of the same
 // block read from memory, with the bulk gate on and off) through both
-// pack and pack_op, checking the survivors against the expected indices
-// and the block's allocations against `check`.
+// pack and pack_op, checking the survivors against the expected indices,
+// that the predicate ran once per element, and the block's allocations
+// against `check`.
 template <typename T, typename Check>
 void pack_every_way(std::size_t n, bool (*keep)(std::size_t),
                     const Check& check) {
   std::vector<std::size_t> want;
   for (std::size_t i = 0; i < n; ++i)
     if (keep(i)) want.push_back(i);
-  auto pred = [keep](const T& x) { return keep(index_of(x)); };
-  auto op = [keep](auto&& x) -> std::optional<T> {
+  std::size_t calls = 0;
+  auto pred = [keep, &calls](const T& x) {
+    ++calls;
+    return keep(index_of(x));
+  };
+  auto op = [keep, &calls](auto&& x) -> std::optional<T> {
+    ++calls;
     if (!keep(index_of(x))) return std::nullopt;
     return std::optional<T>(std::forward<decltype(x)>(x));
   };
@@ -203,10 +215,12 @@ void pack_every_way(std::size_t n, bool (*keep)(std::size_t),
       {
         pbds::memory::tracked_vector<T> out;
         pbds::memory::space_meter m;
+        calls = 0;
         if (use_op)
           st::pack_op(s, n, op, out);
         else
           st::pack(s, n, pred, out);
+        EXPECT_EQ(calls, n);
         check(m);
         ASSERT_EQ(out.size(), want.size());
         for (std::size_t k = 0; k < want.size(); ++k)
@@ -256,6 +270,7 @@ void pack_allocates_once_per_block() {
 TEST(Streams, PackAllocatesOncePerBlock) {
   pack_allocates_once_per_block<std::int64_t>();
   pack_allocates_once_per_block<std::pair<std::uint8_t, std::uint32_t>>();
+  pack_allocates_once_per_block<pbds::geom::point2d>();
   pack_allocates_once_per_block<std::unique_ptr<int>>();
 }
 
