@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <vector>
 
 #include "benchmarks/bestcut.hpp"
 #include "benchmarks/bfs.hpp"
@@ -20,6 +21,7 @@
 #include "benchmarks/tokens.hpp"
 #include "benchmarks/wc.hpp"
 #include "core/block.hpp"
+#include "sched/deterministic.hpp"
 #include "text/text.hpp"
 
 namespace {
@@ -82,19 +84,21 @@ TEST_P(KernelsTest, BignumAddWorstCaseCarry) {
   ASSERT_EQ(got.carry_out, want[n]);
 }
 
+// Element by element against the sequential sieve's list.
+void expect_primes(const parray<std::int64_t>& got, std::int64_t n,
+                   const std::vector<std::int64_t>& want,
+                   std::string_view what) {
+  ASSERT_EQ(got.size(), want.size()) << what << " n=" << n;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << what << " n=" << n << " i=" << i;
+}
+
 TEST_P(KernelsTest, Primes) {
   for (std::int64_t n : {1, 2, 3, 10, 97, 10'000}) {
-    std::size_t want = reference_prime_count(n);
-    auto pa = primes<array_policy>(n);
-    auto pr = primes<rad_policy>(n);
-    auto pd = primes<delay_policy>(n);
-    EXPECT_EQ(pa.size(), want) << "array n=" << n;
-    EXPECT_EQ(pr.size(), want) << "rad n=" << n;
-    EXPECT_EQ(pd.size(), want) << "delay n=" << n;
-    for (std::size_t i = 0; i < want; ++i) {
-      ASSERT_EQ(pa[i], pd[i]);
-      ASSERT_EQ(pr[i], pd[i]);
-    }
+    auto want = reference_primes(n);
+    expect_primes(primes<array_policy>(n), n, want, "array");
+    expect_primes(primes<rad_policy>(n), n, want, "rad");
+    expect_primes(primes<delay_policy>(n), n, want, "delay");
   }
 }
 
@@ -194,6 +198,27 @@ TEST_P(KernelsTest, Wc) {
   EXPECT_EQ(wc<array_policy>(text), want);
   EXPECT_EQ(wc<rad_policy>(text), want);
   EXPECT_EQ(wc<delay_policy>(text), want);
+}
+
+// The sieve marks its flags segment by segment (kPrimesSegment = S). Around
+// one and three segments, under every schedule: at n = 3S, n is composite
+// and alone in its last segment. Only Ours runs here; A and R hold 8 bytes
+// per composite, over the 16 MiB budget the hostile-env tests run under.
+TEST(PrimesSegments, EdgesMatchSequentialSieve) {
+  constexpr std::int64_t S = kPrimesSegment;
+  for (std::int64_t n : {S - 1, S, S + 1, 3 * S - 1, 3 * S, 3 * S + 1}) {
+    auto want = reference_primes(n);
+    {
+      sched::scoped_sequential g;
+      expect_primes(primes<delay_policy>(n), n, want, "sequential");
+    }
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+      sched::scoped_deterministic g(seed, 4);
+      expect_primes(primes<delay_policy>(n), n, want, "deterministic");
+    }
+    expect_primes(primes<delay_policy>(n), n, want, "pool");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, KernelsTest,

@@ -5,11 +5,13 @@
 // O(survivors) where the baselines are O(n)".
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "benchmarks/bfs.hpp"
 #include "benchmarks/integrate.hpp"
 #include "benchmarks/policies.hpp"
+#include "benchmarks/primes.hpp"
 #include "core/block.hpp"
 #include "core/delayed.hpp"
 #include "memory/tracking.hpp"
@@ -162,6 +164,23 @@ TEST(SpaceClaims, FlattenHoldsOnlyInnersAndOffsets) {
   auto out = delayed::to_array(flat);
   ASSERT_EQ(out.size(), kN);
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], (std::int64_t)i);
+}
+
+// The sieve streams its composites (about 2.4 per flag, 19n bytes as
+// int64s) into the flags. Ours allocates the flags, at most three arrays of
+// the survivors (filter's packed blocks, the output, the recursion's), the
+// flatten's inner sequences and offsets (40 bytes for each of the nseg * np
+// (segment, prime) pieces) and the filter's per-block offsets.
+TEST(SpaceClaims, PrimesAllocatesNoComposites) {
+  const std::int64_t n = 3 * bench::kPrimesSegment;
+  const std::size_t np = bench::reference_prime_count(
+      static_cast<std::int64_t>(std::sqrt(static_cast<double>(n))));
+  const auto nseg = static_cast<std::size_t>(n / bench::kPrimesSegment) + 1;
+  memory::space_meter m;
+  auto ps = bench::primes<delay_policy>(n);
+  EXPECT_LE(m.allocated_bytes(),
+            static_cast<std::int64_t>((n + 1) + 3 * 8 * ps.size() +
+                                      40 * nseg * np + 64 * 1024));
 }
 
 // Peak residency (not just total allocation) must also improve: the scan
